@@ -10,7 +10,7 @@ drifting optical resonance.
 __version__ = "0.1.0"
 
 from .actuator import (ActuatorCalibration, DeviceGeometry, DeviceModel,
-                       StrainField, ThermalModel, bending_profile, hinge_point,
+                       ThermalModel, bending_profile, hinge_point,
                        pull_in_guard, pulsed_resonance_offset, strain_at)
 from .config import (RunConfig, load_config, load_default_config,
                      parse_config)

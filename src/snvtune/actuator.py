@@ -106,20 +106,6 @@ class DeviceModel:
     thermal: ThermalModel = ThermalModel()
 
 
-class StrainField:
-    """Voltage-parametrized strain field over the beam volume.
-
-    Callable as ``field(position, v) -> StrainTensor`` in the lab frame;
-    returns the zero tensor at v = 0 and a symmetric tensor always.
-    """
-
-    def __init__(self, device: DeviceModel):
-        self.device = device
-
-    def __call__(self, position: Position, v: float) -> StrainTensor:
-        return strain_at(self.device, position, v)
-
-
 def hinge_point(geometry: DeviceGeometry, depth: float = 0.0) -> Position:
     """Surface point of maximal bending strain, ``depth`` meters below it."""
     return (0.0, 0.0, 0.5 * geometry.h_waveguide - depth)
@@ -201,11 +187,6 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
     safe = _steady_state_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
     excess = max(0.0, heat - safe)
     return -thermal.heat_shift_coeff * excess + 0.0
-
-
-def electrode_field(geometry: DeviceGeometry, v: float) -> float:
-    """Electrostatic field between the electrodes in V/m (parallel plates)."""
-    return v / geometry.gap_height
 
 
 def pull_in_guard(geometry: DeviceGeometry, v: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -70,6 +71,22 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def non_negative_int(text: str) -> int:
+    """Argument converter for seeds: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative seed {value}")
+    return value
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    """Comma-separated values of a command-line flag, each converted by ``kind``."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag}: invalid comma-separated list {text!r}") from None
+
+
 def _parallel_map(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
@@ -98,6 +115,8 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     v_max = ns.v_max if ns.v_max is not None else cfg.device.calibration.v_max
     if not 0.0 <= ns.v_min <= v_max:
         raise InputError(f"voltage grid [{ns.v_min}, {v_max}] is invalid")
+    if ns.steps < 1:
+        raise InputError("--steps must be >= 1")
     voltages = np.linspace(ns.v_min, v_max, ns.steps)
     chunks = _parallel_map(_tune_one, [(cfg, n, voltages) for n in names], jobs)
     rows = [row for chunk in chunks for row in chunk]
@@ -126,7 +145,7 @@ def _ple_one(args) -> str:
 
 def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     emitter = cfg.emitter(ns.emitter)
-    voltages = [float(v) for v in ns.bias.split(",")]
+    voltages = _number_list(ns.bias, float, "--bias")
     for v in voltages:
         if not 0.0 <= v <= cfg.device.calibration.v_max:
             raise RangeError(
@@ -149,27 +168,30 @@ def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # inhomo
 
 def _read_resonances_csv(path: Path) -> np.ndarray:
+    """First column of a resonance CSV; ``#`` lines and an optional header skipped."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            cells = [(reader.line_num, row[0]) for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot read resonance file: {exc}") from None
     values = []
-    with path.open("r", encoding="utf-8") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty resonance file")
+    for i, (row, cell) in enumerate(cells):
         try:
-            values.append(float(header[0]))  # headerless file support
+            value = float(cell)
         except ValueError:
-            pass
-        for row in reader:
-            if row:
-                values.append(float(row[0]))
+            if i == 0:  # only the first row may be a header
+                continue
+            value = math.nan
+        if not math.isfinite(value):
+            raise InputError(f"{path}, row {row}: not a finite number: {cell!r}")
+        values.append(value)
     if not values:
         raise InputError(f"{path}: no resonance values found")
     return np.asarray(values)
 
 
 def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
-    if ns.input is not None and ns.n is not None:
-        raise InputError("give either --n or --input, not both")
     if ns.input is not None:
         source = Path(ns.input)
         values = _read_resonances_csv(source)
@@ -270,7 +292,7 @@ def _stabilize_one(args) -> tuple[str, dict]:
 def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     cfg.emitter(ns.emitter)
     if ns.seeds:
-        run_seeds = [int(s) for s in ns.seeds.split(",")]
+        run_seeds = _number_list(ns.seeds, non_negative_int, "--seeds")
     else:
         run_seeds = [seed]
     ns_dict = {"emitter": ns.emitter, "duration": ns.duration,
@@ -291,10 +313,8 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # calibrate-pulse
 
 def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
-    pulses = [float(p) for p in ns.pulses.split(",")]
-    cooldowns = [float(c) for c in ns.cooldowns.split(",")]
-    if not pulses or not cooldowns:
-        raise InputError("pulse and cooldown grids must be non-empty")
+    pulses = _number_list(ns.pulses, float, "--pulses")
+    cooldowns = _number_list(ns.cooldowns, float, "--cooldowns")
     bias = ns.bias if ns.bias is not None else cfg.device.calibration.v_ref
     thermal = cfg.device.thermal
     rows = []
@@ -320,7 +340,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
     parser.add_argument("--config", type=Path, default=default(None),
                         help="configuration JSON (default: shipped config)")
-    parser.add_argument("--seed", type=int, default=default(None),
+    parser.add_argument("--seed", type=non_negative_int, default=default(None),
                         help="master seed (default: from config)")
     parser.add_argument("--out", type=Path, default=default(Path(".")),
                         help="output directory")

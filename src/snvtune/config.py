@@ -6,12 +6,18 @@ GHz/PHz and nm/um slips this domain invites; everything converts to the
 internal unit system (GHz, GHz/strain, meters, seconds, volts) on load.
 Validation failures name the offending key and constraint, and nothing is
 written before validation completes.
+
+Each section is described by a field table whose rows read
+``(attribute, json_key, kind[, default])``.  ``kind`` is a unit table (a
+unit-tagged quantity), ``float`` (a plain number), ``int`` (a whole number)
+or a tuple of accepted strings; a row with a default is optional.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -40,27 +46,105 @@ SLOPE_MHZ_PER_GHZ = {"MHz/GHz": 1.0}
 GAIN_V_PER_GHZ = {"V/GHz": 1.0, "V/GHz*s": 1.0, "V*s/GHz": 1.0,
                   "V/(GHz*s)": 1.0, "V/GHz/s": 1.0}
 
+_ORIENTATIONS = {o.value: o for o in Orientation}
 
-def _quantity(node, table: dict[str, float], path: str) -> float:
-    """Convert a unit-tagged JSON value; errors carry the config key path."""
-    if not isinstance(node, dict) or "value" not in node or "unit" not in node:
-        raise ConfigError(
-            f"{path}: expected a unit-tagged number {{\"value\": ..., \"unit\": ...}}")
-    unit = node["unit"]
-    if unit not in table:
-        raise ConfigError(
-            f"{path}: unknown unit {unit!r}; accepted: {sorted(table)}")
-    try:
-        value = float(node["value"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: value must be a number") from None
-    return value * table[unit]
+SPIN_ORBIT = [("lambda_g", "lambda_g", FREQUENCY_GHZ),
+              ("lambda_u", "lambda_u", FREQUENCY_GHZ)]
+SUSCEPTIBILITIES = [(k, k, SUSCEPTIBILITY_GHZ) for k in ("t_perp", "t_par", "d", "f")]
+GEOMETRY = [(k, k, LENGTH_M) for k in DeviceGeometry.__dataclass_fields__]
+CALIBRATION = [("v_ref", "v_ref", VOLTAGE_V), ("eps_ref", "eps_ref", STRAIN_1),
+               ("v_max", "v_max", VOLTAGE_V)]
+TENSOR_RATIOS = [("ratio_yy", "yy", float), ("ratio_zz", "zz", float),
+                 ("ratio_yz", "yz", float, 0.0), ("ratio_zx", "zx", float, 0.0),
+                 ("ratio_xy", "xy", float, 0.0)]
+THERMAL = [("cooldown_time_us", "cooldown_time", TIME_US),
+           ("max_pulse_us", "max_pulse", TIME_US),
+           ("heat_shift_coeff", "heat_shift_coeff", FREQUENCY_GHZ),
+           ("relax_time_us", "relax_time", TIME_US)]
+POSITION = [(k, k, LENGTH_M) for k in ("x", "y", "z")]
+# converted first, then offset by physics.nu0, scaled to MHz and mapped to Orientation
+EMITTER_LINE = [("orientation", "orientation", tuple(_ORIENTATIONS)),
+                ("detuning0", "detuning0", FREQUENCY_GHZ),
+                ("fwhm0", "fwhm0", FREQUENCY_GHZ)]
+EMITTER = [("peak_rate", "peak_rate", RATE_PER_S),
+           ("background_rate", "background_rate", RATE_PER_S),
+           ("broadening_slope", "broadening_slope", SLOPE_MHZ_PER_GHZ)]
+INHOMOGENEOUS = [("cluster_sigma_ghz", "cluster_sigma", FREQUENCY_GHZ),
+                 ("cluster_weight", "cluster_weight", float),
+                 ("broad_span_ghz", "broad_span", FREQUENCY_GHZ)]
+DRIFT = [("ou_tau_s", "ou_tau", TIME_S), ("ou_sigma_ghz", "ou_sigma", FREQUENCY_GHZ),
+         ("jump_rate_hz", "jump_rate", RATE_PER_S),
+         ("jump_sigma_ghz", "jump_sigma", FREQUENCY_GHZ)]
+LOCKIN = [("mod_amp_v", "mod_amp", VOLTAGE_V),
+          ("periods_per_probe", "periods_per_probe", int),
+          ("bins_per_period", "bins_per_period", int),
+          ("probe_duration_s", "probe_duration", TIME_S)]
+PID = [("kp", "kp", GAIN_V_PER_GHZ), ("ki", "ki", GAIN_V_PER_GHZ),
+       ("kd", "kd", GAIN_V_PER_GHZ), ("output_min", "output_min", VOLTAGE_V),
+       ("output_max", "output_max", VOLTAGE_V),
+       ("update_rate_hz", "update_rate", RATE_PER_S),
+       ("integral_limit", "integral_limit", float, 20.0)]
+CR_CHECK = [("probe_duration_s", "probe_duration", TIME_S),
+            ("photon_threshold", "photon_threshold", int),
+            ("max_attempts", "max_attempts", int, 1)]
+STABILIZATION = [("duration_s", "duration", TIME_S), ("n_scans", "n_scans", int),
+                 ("scan_span_ghz", "scan_span", FREQUENCY_GHZ),
+                 ("scan_points", "scan_points", int),
+                 ("scan_dwell_s", "scan_dwell", TIME_S),
+                 ("operating_voltage", "operating_voltage", VOLTAGE_V),
+                 ("scan_shape", "scan_shape", ("lorentzian", "voigt"), "voigt")]
 
 
 def _number(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a plain number")
+    # the magnitude test also rejects NaN, infinities and ints beyond float range
+    if (isinstance(node, bool) or not isinstance(node, (int, float))
+            or not abs(node) <= sys.float_info.max):
+        raise ConfigError(f"{path}: expected a finite number")
     return float(node)
+
+
+def _convert(node, kind, path: str):
+    """One JSON value converted according to a field-table ``kind``."""
+    if isinstance(kind, tuple):
+        if node not in kind:
+            raise ConfigError(
+                f"{path}: unknown variant {node!r}; expected one of {sorted(kind)}")
+        return node
+    if isinstance(kind, dict):
+        if not isinstance(node, dict) or "value" not in node or "unit" not in node:
+            raise ConfigError(
+                f"{path}: expected a unit-tagged number {{\"value\": ..., \"unit\": ...}}")
+        unit = node["unit"]
+        if not isinstance(unit, str) or unit not in kind:
+            raise ConfigError(f"{path}: unknown unit {unit!r}; accepted: {sorted(kind)}")
+        return _number(node["value"], path) * kind[unit]
+    value = _number(node, path)
+    if kind is int:
+        if not value.is_integer():
+            raise ConfigError(f"{path}: expected a whole number")
+        return int(value)
+    return value
+
+
+def _fields(node: dict, path: str, rows) -> dict:
+    """Keyword arguments converted from one JSON object by a field table."""
+    kwargs = {}
+    for attr, key, kind, *default in rows:
+        if key in node:
+            kwargs[attr] = _convert(node[key], kind, f"{path}.{key}")
+        elif default:
+            kwargs[attr] = default[0]
+        else:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return kwargs
+
+
+def _build(cls, node: dict, path: str, rows, **extra):
+    """``cls`` built from a section's field table; its checks name the path."""
+    try:
+        return cls(**_fields(node, path, rows), **extra)
+    except InputError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _section(doc: dict, key: str, path: str = "") -> dict:
@@ -90,6 +174,12 @@ class InhomogeneousConfig:
     cluster_sigma_ghz: float = 15.0
     cluster_weight: float = 0.45
     broad_span_ghz: float = 300.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.cluster_weight <= 1.0:
+            raise InputError("cluster_weight must be in [0, 1]")
+        if not (self.cluster_sigma_ghz > 0.0 and self.broad_span_ghz > 0.0):
+            raise InputError("sigma and span must be > 0")
 
 
 @dataclass(frozen=True)
@@ -124,91 +214,12 @@ class RunConfig:
             raise InputError(f"unknown emitter id {name!r}; known ids: {known}") from None
 
 
-def _load_susceptibilities(node: dict, path: str) -> StrainSusceptibilities:
-    return StrainSusceptibilities(
-        t_perp=_quantity(_require(node, "t_perp", path), SUSCEPTIBILITY_GHZ, f"{path}.t_perp"),
-        t_par=_quantity(_require(node, "t_par", path), SUSCEPTIBILITY_GHZ, f"{path}.t_par"),
-        d=_quantity(_require(node, "d", path), SUSCEPTIBILITY_GHZ, f"{path}.d"),
-        f=_quantity(_require(node, "f", path), SUSCEPTIBILITY_GHZ, f"{path}.f"),
-    )
-
-
-def _require(node: dict, key: str, path: str):
-    if key not in node:
-        raise ConfigError(f"{path}.{key}: missing required key")
-    return node[key]
-
-
-def _load_physics(doc: dict) -> PhysicsConfig:
-    node = _section(doc, "physics")
-    try:
-        return PhysicsConfig(
-            nu0=_quantity(_require(node, "nu0", "physics"), FREQUENCY_GHZ, "physics.nu0"),
-            spin_orbit=SpinOrbit(
-                lambda_g=_quantity(_require(node, "lambda_g", "physics"),
-                                   FREQUENCY_GHZ, "physics.lambda_g"),
-                lambda_u=_quantity(_require(node, "lambda_u", "physics"),
-                                   FREQUENCY_GHZ, "physics.lambda_u"),
-            ),
-            susc_g=_load_susceptibilities(_section(node, "ground", "physics"),
-                                          "physics.ground"),
-            susc_u=_load_susceptibilities(_section(node, "excited", "physics"),
-                                          "physics.excited"),
-        )
-    except InputError as exc:
-        raise ConfigError(f"physics: {exc}") from exc
-
-
-def _load_device(doc: dict) -> DeviceModel:
-    node = _section(doc, "device")
-    geo_node = _section(node, "geometry", "device")
-    cal_node = _section(node, "calibration", "device")
-    th_node = _section(node, "thermal", "device")
-    try:
-        geometry = DeviceGeometry(**{
-            name: _quantity(_require(geo_node, name, "device.geometry"),
-                            LENGTH_M, f"device.geometry.{name}")
-            for name in DeviceGeometry.__dataclass_fields__
-        })
-        ratios = _section(cal_node, "tensor_ratios", "device.calibration")
-        calibration = ActuatorCalibration(
-            v_ref=_quantity(_require(cal_node, "v_ref", "device.calibration"),
-                            VOLTAGE_V, "device.calibration.v_ref"),
-            eps_ref=_quantity(_require(cal_node, "eps_ref", "device.calibration"),
-                              STRAIN_1, "device.calibration.eps_ref"),
-            v_max=_quantity(_require(cal_node, "v_max", "device.calibration"),
-                            VOLTAGE_V, "device.calibration.v_max"),
-            ratio_yy=_number(_require(ratios, "yy", "device.calibration.tensor_ratios"),
-                             "device.calibration.tensor_ratios.yy"),
-            ratio_zz=_number(_require(ratios, "zz", "device.calibration.tensor_ratios"),
-                             "device.calibration.tensor_ratios.zz"),
-            ratio_yz=_number(ratios.get("yz", 0.0), "device.calibration.tensor_ratios.yz"),
-            ratio_zx=_number(ratios.get("zx", 0.0), "device.calibration.tensor_ratios.zx"),
-            ratio_xy=_number(ratios.get("xy", 0.0), "device.calibration.tensor_ratios.xy"),
-        )
-        thermal = ThermalModel(
-            cooldown_time_us=_quantity(_require(th_node, "cooldown_time", "device.thermal"),
-                                       TIME_US, "device.thermal.cooldown_time"),
-            max_pulse_us=_quantity(_require(th_node, "max_pulse", "device.thermal"),
-                                   TIME_US, "device.thermal.max_pulse"),
-            heat_shift_coeff=_quantity(_require(th_node, "heat_shift_coeff", "device.thermal"),
-                                       FREQUENCY_GHZ, "device.thermal.heat_shift_coeff"),
-            relax_time_us=_quantity(_require(th_node, "relax_time", "device.thermal"),
-                                    TIME_US, "device.thermal.relax_time"),
-        )
-    except InputError as exc:
-        raise ConfigError(f"device: {exc}") from exc
-    return DeviceModel(geometry=geometry, calibration=calibration, thermal=thermal)
-
-
-_ORIENTATIONS = {o.value: o for o in Orientation}
-
-
-def _load_emitters(doc: dict, physics: PhysicsConfig) -> dict[str, EmitterModel]:
-    if "emitters" not in doc or not isinstance(doc["emitters"], list):
-        raise ConfigError("emitters: missing required list")
+def _emitters(doc: dict, physics: PhysicsConfig) -> dict[str, EmitterModel]:
+    nodes = doc.get("emitters")
+    if not isinstance(nodes, list) or not nodes:
+        raise ConfigError("emitters: expected a non-empty list")
     emitters: dict[str, EmitterModel] = {}
-    for i, node in enumerate(doc["emitters"]):
+    for i, node in enumerate(nodes):
         path = f"emitters[{i}]"
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: expected an object")
@@ -217,144 +228,18 @@ def _load_emitters(doc: dict, physics: PhysicsConfig) -> dict[str, EmitterModel]
             raise ConfigError(f"{path}.id: expected a non-empty string")
         if name in emitters:
             raise ConfigError(f"{path}.id: duplicate emitter id {name!r}")
-        orient_tag = _require(node, "orientation", path)
-        if orient_tag not in _ORIENTATIONS:
-            raise ConfigError(
-                f"{path}.orientation: unknown variant {orient_tag!r}; "
-                f"expected one of {sorted(_ORIENTATIONS)}")
-        pos_node = node.get("position")
-        if pos_node is None:
-            position = None
-        else:
-            if not isinstance(pos_node, dict):
+        position = node.get("position")
+        if position is not None:
+            if not isinstance(position, dict):
                 raise ConfigError(f"{path}.position: expected an object or null")
-            position = tuple(
-                _quantity(_require(pos_node, axis, f"{path}.position"),
-                          LENGTH_M, f"{path}.position.{axis}")
-                for axis in ("x", "y", "z"))
-        try:
-            emitters[name] = EmitterModel(
-                name=name,
-                orientation=_ORIENTATIONS[orient_tag],
-                position=position,
-                nu0=physics.nu0 + _quantity(_require(node, "detuning0", path),
-                                            FREQUENCY_GHZ, f"{path}.detuning0"),
-                fwhm0_mhz=_quantity(_require(node, "fwhm0", path),
-                                    FREQUENCY_GHZ, f"{path}.fwhm0") * 1e3,
-                peak_rate=_quantity(_require(node, "peak_rate", path),
-                                    RATE_PER_S, f"{path}.peak_rate"),
-                background_rate=_quantity(_require(node, "background_rate", path),
-                                          RATE_PER_S, f"{path}.background_rate"),
-                susc_g=physics.susc_g,
-                susc_u=physics.susc_u,
-                spin_orbit=physics.spin_orbit,
-                broadening_slope=_quantity(_require(node, "broadening_slope", path),
-                                           SLOPE_MHZ_PER_GHZ, f"{path}.broadening_slope"),
-            )
-        except InputError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if not emitters:
-        raise ConfigError("emitters: at least one emitter is required")
+            position = tuple(_fields(position, f"{path}.position", POSITION).values())
+        line = _fields(node, path, EMITTER_LINE)
+        emitters[name] = _build(
+            EmitterModel, node, path, EMITTER, name=name, position=position,
+            orientation=_ORIENTATIONS[line["orientation"]],
+            nu0=physics.nu0 + line["detuning0"], fwhm0_mhz=line["fwhm0"] * 1e3,
+            susc_g=physics.susc_g, susc_u=physics.susc_u, spin_orbit=physics.spin_orbit)
     return emitters
-
-
-def _load_inhomogeneous(doc: dict) -> InhomogeneousConfig:
-    if "inhomogeneous" not in doc:
-        return InhomogeneousConfig()
-    node = _section(doc, "inhomogeneous")
-    cfg = InhomogeneousConfig(
-        cluster_sigma_ghz=_quantity(_require(node, "cluster_sigma", "inhomogeneous"),
-                                    FREQUENCY_GHZ, "inhomogeneous.cluster_sigma"),
-        cluster_weight=_number(_require(node, "cluster_weight", "inhomogeneous"),
-                               "inhomogeneous.cluster_weight"),
-        broad_span_ghz=_quantity(_require(node, "broad_span", "inhomogeneous"),
-                                 FREQUENCY_GHZ, "inhomogeneous.broad_span"),
-    )
-    if not 0.0 <= cfg.cluster_weight <= 1.0:
-        raise ConfigError("inhomogeneous.cluster_weight: must be in [0, 1]")
-    if not (cfg.cluster_sigma_ghz > 0.0 and cfg.broad_span_ghz > 0.0):
-        raise ConfigError("inhomogeneous: sigma and span must be > 0")
-    return cfg
-
-
-def _load_control(doc: dict) -> ControlBlocks:
-    node = _section(doc, "control")
-    drift_node = _section(node, "drift", "control")
-    lockin_node = _section(node, "lockin", "control")
-    pid_node = _section(node, "pid", "control")
-    cr_node = _section(node, "cr_check", "control")
-    stab_node = _section(node, "stabilization", "control")
-    try:
-        drift = DriftProcess(
-            ou_tau_s=_quantity(_require(drift_node, "ou_tau", "control.drift"),
-                               TIME_S, "control.drift.ou_tau"),
-            ou_sigma_ghz=_quantity(_require(drift_node, "ou_sigma", "control.drift"),
-                                   FREQUENCY_GHZ, "control.drift.ou_sigma"),
-            jump_rate_hz=_quantity(_require(drift_node, "jump_rate", "control.drift"),
-                                   RATE_PER_S, "control.drift.jump_rate"),
-            jump_sigma_ghz=_quantity(_require(drift_node, "jump_sigma", "control.drift"),
-                                     FREQUENCY_GHZ, "control.drift.jump_sigma"),
-        )
-        lockin = LockInConfig(
-            mod_amp_v=_quantity(_require(lockin_node, "mod_amp", "control.lockin"),
-                                VOLTAGE_V, "control.lockin.mod_amp"),
-            periods_per_probe=int(_number(_require(lockin_node, "periods_per_probe",
-                                                   "control.lockin"),
-                                          "control.lockin.periods_per_probe")),
-            bins_per_period=int(_number(_require(lockin_node, "bins_per_period",
-                                                 "control.lockin"),
-                                        "control.lockin.bins_per_period")),
-            probe_duration_s=_quantity(_require(lockin_node, "probe_duration",
-                                                "control.lockin"),
-                                       TIME_S, "control.lockin.probe_duration"),
-        )
-        pid = PIDConfig(
-            kp=_quantity(_require(pid_node, "kp", "control.pid"),
-                         GAIN_V_PER_GHZ, "control.pid.kp"),
-            ki=_quantity(_require(pid_node, "ki", "control.pid"),
-                         GAIN_V_PER_GHZ, "control.pid.ki"),
-            kd=_quantity(_require(pid_node, "kd", "control.pid"),
-                         GAIN_V_PER_GHZ, "control.pid.kd"),
-            output_min=_quantity(_require(pid_node, "output_min", "control.pid"),
-                                 VOLTAGE_V, "control.pid.output_min"),
-            output_max=_quantity(_require(pid_node, "output_max", "control.pid"),
-                                 VOLTAGE_V, "control.pid.output_max"),
-            update_rate_hz=_quantity(_require(pid_node, "update_rate", "control.pid"),
-                                     RATE_PER_S, "control.pid.update_rate"),
-            integral_limit=_number(pid_node.get("integral_limit", 20.0),
-                                   "control.pid.integral_limit"),
-        )
-        cr = CRCheckConfig(
-            probe_duration_s=_quantity(_require(cr_node, "probe_duration",
-                                                "control.cr_check"),
-                                       TIME_S, "control.cr_check.probe_duration"),
-            photon_threshold=int(_number(_require(cr_node, "photon_threshold",
-                                                  "control.cr_check"),
-                                         "control.cr_check.photon_threshold")),
-            max_attempts=int(_number(cr_node.get("max_attempts", 1),
-                                     "control.cr_check.max_attempts")),
-        )
-        stab = StabilizationConfig(
-            duration_s=_quantity(_require(stab_node, "duration", "control.stabilization"),
-                                 TIME_S, "control.stabilization.duration"),
-            n_scans=int(_number(_require(stab_node, "n_scans", "control.stabilization"),
-                                "control.stabilization.n_scans")),
-            scan_span_ghz=_quantity(_require(stab_node, "scan_span", "control.stabilization"),
-                                    FREQUENCY_GHZ, "control.stabilization.scan_span"),
-            scan_points=int(_number(_require(stab_node, "scan_points",
-                                             "control.stabilization"),
-                                    "control.stabilization.scan_points")),
-            scan_dwell_s=_quantity(_require(stab_node, "scan_dwell", "control.stabilization"),
-                                   TIME_S, "control.stabilization.scan_dwell"),
-            operating_voltage=_quantity(_require(stab_node, "operating_voltage",
-                                                 "control.stabilization"),
-                                        VOLTAGE_V, "control.stabilization.operating_voltage"),
-            scan_shape=str(stab_node.get("scan_shape", "voigt")),
-        )
-    except InputError as exc:
-        raise ConfigError(f"control: {exc}") from exc
-    return ControlBlocks(drift=drift, lockin=lockin, pid=pid, cr_check=cr,
-                         stabilization=stab)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -365,9 +250,26 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
-    physics = _load_physics(doc)
-    device = _load_device(doc)
-    emitters = _load_emitters(doc, physics)
+    node = _section(doc, "physics")
+    physics = _build(
+        PhysicsConfig, node, "physics", [("nu0", "nu0", FREQUENCY_GHZ)],
+        spin_orbit=_build(SpinOrbit, node, "physics", SPIN_ORBIT),
+        susc_g=_build(StrainSusceptibilities, _section(node, "ground", "physics"),
+                      "physics.ground", SUSCEPTIBILITIES),
+        susc_u=_build(StrainSusceptibilities, _section(node, "excited", "physics"),
+                      "physics.excited", SUSCEPTIBILITIES))
+    node = _section(doc, "device")
+    cal = _section(node, "calibration", "device")
+    ratios = _section(cal, "tensor_ratios", "device.calibration")
+    device = DeviceModel(
+        geometry=_build(DeviceGeometry, _section(node, "geometry", "device"),
+                        "device.geometry", GEOMETRY),
+        calibration=_build(ActuatorCalibration, cal, "device.calibration", CALIBRATION,
+                           **_fields(ratios, "device.calibration.tensor_ratios",
+                                     TENSOR_RATIOS)),
+        thermal=_build(ThermalModel, _section(node, "thermal", "device"),
+                       "device.thermal", THERMAL))
+    emitters = _emitters(doc, physics)
     for name, emitter in emitters.items():
         if not emitter.is_bulk:
             try:
@@ -377,20 +279,30 @@ def parse_config(text: str) -> RunConfig:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: expected a non-negative integer")
-    return RunConfig(
-        physics=physics,
-        device=device,
-        emitters=emitters,
-        inhomogeneous=_load_inhomogeneous(doc),
-        control=_load_control(doc),
-        seed=seed,
-        source_text=text,
-    )
+    inhomogeneous = InhomogeneousConfig()
+    if "inhomogeneous" in doc:
+        inhomogeneous = _build(InhomogeneousConfig, _section(doc, "inhomogeneous"),
+                               "inhomogeneous", INHOMOGENEOUS)
+    node = _section(doc, "control")
+    control = ControlBlocks(**{
+        key: _build(cls, _section(node, key, "control"), f"control.{key}", rows)
+        for key, cls, rows in (("drift", DriftProcess, DRIFT),
+                               ("lockin", LockInConfig, LOCKIN),
+                               ("pid", PIDConfig, PID),
+                               ("cr_check", CRCheckConfig, CR_CHECK),
+                               ("stabilization", StabilizationConfig, STABILIZATION))})
+    return RunConfig(physics=physics, device=device, emitters=emitters,
+                     inhomogeneous=inhomogeneous, control=control, seed=seed,
+                     source_text=text)
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a configuration file."""
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read configuration: {exc}") from None
+    return parse_config(text)
 
 
 def default_config_text() -> str:

@@ -228,13 +228,6 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
                              zero_offset=zero)
 
 
-def lockin_sensitivity(state: EmitterState, target_ghz: float,
-                       cfg: LockInConfig,
-                       curve: TuningCurve | None = None) -> float:
-    """Demodulated counts per GHz of resonance offset at the operating point."""
-    return calibrate_lockin(state, target_ghz, cfg, curve).sensitivity
-
-
 def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
                  rng: np.random.Generator | None = None,
                  curve: TuningCurve | None = None,

@@ -66,17 +66,22 @@ class EmitterModel:
         return self.nu0 + 0.5 * self.spin_orbit.lambda_u - 0.5 * self.spin_orbit.lambda_g
 
 
+def _irreducible_at(emitter: EmitterModel, device: DeviceModel,
+                    v: float) -> tuple[IrreducibleStrain, IrreducibleStrain]:
+    """Ground and excited irreducible strain of a non-bulk emitter at bias ``v``."""
+    eps_lab = strain_at(device, emitter.position, v)
+    eps_def = rotate_strain(eps_lab, lab_to_defect(emitter.orientation), Frame.DEFECT)
+    return (irreducible_components(eps_def, emitter.susc_g),
+            irreducible_components(eps_def, emitter.susc_u))
+
+
 def level_response_at(emitter: EmitterModel, device: DeviceModel,
                       v: float) -> LevelResponse:
     """Full level response of ``emitter`` at bias voltage ``v``."""
     if emitter.is_bulk:
-        ir0 = IrreducibleStrain(0.0, 0.0, 0.0)
-        return level_response(ir0, ir0, emitter.spin_orbit, emitter.nu_zpl0())
-    eps_lab = strain_at(device, emitter.position, v)
-    rot = lab_to_defect(emitter.orientation)
-    eps_def = rotate_strain(eps_lab, rot, Frame.DEFECT)
-    ir_g = irreducible_components(eps_def, emitter.susc_g)
-    ir_u = irreducible_components(eps_def, emitter.susc_u)
+        ir_g = ir_u = IrreducibleStrain(0.0, 0.0, 0.0)
+    else:
+        ir_g, ir_u = _irreducible_at(emitter, device, v)
     return level_response(ir_g, ir_u, emitter.spin_orbit, emitter.nu_zpl0())
 
 
@@ -104,37 +109,22 @@ class TuningCurve:
         self.emitter = emitter
         self.device = device
         cal = device.calibration
-        if emitter.is_bulk:
-            self._scale_per_v2 = 0.0
-            self._da1g = 0.0
-            self._c_g = 0.0
-            self._c_u = 0.0
-        else:
+        self._scale_per_v2 = self._da1g = self._c_g = self._c_u = 0.0
+        if not emitter.is_bulk:
             g = bending_profile(device.geometry, emitter.position)
             self._scale_per_v2 = cal.eps_ref * g / cal.v_ref ** 2
-            if g == 0.0:
-                self._da1g = self._c_g = self._c_u = 0.0
-            else:
+            if g != 0.0:
                 s_ref = cal.eps_ref * g
-                eps_lab = strain_at(device, emitter.position, cal.v_ref)
-                rot = lab_to_defect(emitter.orientation)
-                eps_def = rotate_strain(eps_lab, rot, Frame.DEFECT)
-                ir_g = irreducible_components(eps_def, emitter.susc_g)
-                ir_u = irreducible_components(eps_def, emitter.susc_u)
+                ir_g, ir_u = _irreducible_at(emitter, device, cal.v_ref)
                 self._da1g = (ir_u.eps_a1g - ir_g.eps_a1g) / s_ref
                 self._c_g = 4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2
                 self._c_u = 4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2
         self._lam_g = emitter.spin_orbit.lambda_g
         self._lam_u = emitter.spin_orbit.lambda_u
 
-    def local_strain(self, v):
-        """Local eps_xx at the emitter for voltage ``v`` (vectorized)."""
-        v = np.asarray(v, dtype=float)
-        return self._scale_per_v2 * v ** 2
-
     def shift(self, v):
         """C-transition shift in GHz for voltage ``v`` (vectorized)."""
-        s = self.local_strain(v)
+        s = self._scale_per_v2 * np.asarray(v, dtype=float) ** 2  # local eps_xx
         s2 = s * s
         delta_g = np.sqrt(self._lam_g ** 2 + self._c_g * s2)
         delta_u = np.sqrt(self._lam_u ** 2 + self._c_u * s2)
@@ -142,8 +132,3 @@ class TuningCurve:
         return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
 
     __call__ = shift
-
-    def slope(self, v: float, dv: float = 1e-4) -> float:
-        """Numeric d(shift)/dV in GHz per volt at bias ``v``."""
-        lo = max(0.0, v - dv)
-        return (self.shift(v + dv) - self.shift(lo)) / (v + dv - lo)

@@ -91,13 +91,6 @@ class StrainTensor:
             [self.e_zx, self.e_yz, self.e_zz],
         ])
 
-    def scaled(self, factor: float) -> "StrainTensor":
-        return StrainTensor(
-            self.e_xx * factor, self.e_yy * factor, self.e_zz * factor,
-            self.e_yz * factor, self.e_zx * factor, self.e_xy * factor,
-            frame=self.frame, guard=self.guard,
-        )
-
 
 @dataclass(frozen=True)
 class StrainSusceptibilities:

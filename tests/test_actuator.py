@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import snvtune as st
-from snvtune.actuator import (DeviceGeometry, StrainField, ThermalModel,
-                              electrode_field, hinge_point)
+from snvtune.actuator import DeviceGeometry, ThermalModel, hinge_point
 
 from oracles import geometric_heat_steady_state, second_derivative
 
@@ -101,14 +100,6 @@ class TestStrainAt:
             st.strain_at(device, hinge_point(device.geometry),
                          device.calibration.v_max + 1.0)
 
-    def test_strain_field_evaluator(self, device, rng):
-        field = StrainField(device)
-        pos = hinge_point(device.geometry, depth=20e-9)
-        assert np.all(field(pos, 0.0).as_matrix() == 0.0)
-        m = field(pos, 60.0).as_matrix()
-        assert np.allclose(m, m.T)
-        assert np.array_equal(m, st.strain_at(device, pos, 60.0).as_matrix())
-
 
 class TestThermalModel:
     def test_safe_operating_point_is_exactly_zero(self, device):
@@ -146,10 +137,6 @@ class TestThermalModel:
 class TestPullIn:
     def test_zero_voltage_zero_deflection(self, device):
         assert st.pull_in_guard(device.geometry, 0.0) == 0.0
-
-    def test_field_magnitude_at_70v(self, device):
-        field_mv_cm = electrode_field(device.geometry, 70.0) / 1e8
-        assert field_mv_cm == pytest.approx(0.3, rel=0.15)
 
     def test_quadratic_scaling(self, device):
         d1 = st.pull_in_guard(device.geometry, 35.0)

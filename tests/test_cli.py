@@ -1,9 +1,12 @@
+import copy
 import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune.cli import derive_seed, main
@@ -13,6 +16,31 @@ from snvtune.spectroscopy import scan_from_csv
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+DROP = object()  # marks a key to delete
+
+
+def mutate(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value`` or deleted."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[int(key) if isinstance(parent, list) else key]
+    last = int(path[-1]) if isinstance(parent, list) else path[-1]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def key_paths(node, prefix=()):
+    """Every key path below ``node`` (dict keys and list indices)."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
 
 
 def read_csv_rows(path: Path):
@@ -220,6 +248,40 @@ class TestCalibratePulse:
         assert float(rows[0]["offset_GHz"]) == pytest.approx(expected, rel=1e-9)
 
 
+class TestMalformedArguments:
+    CASES = [
+        ("ple", "--emitter", "axial_hinge", "--bias", "x"),
+        ("calibrate-pulse", "--pulses", "x"),
+        ("calibrate-pulse", "--pulses", ","),
+        ("stabilize", "--seeds", "x"),
+        ("stabilize", "--seeds", "1,-2"),
+        ("--seed", "-5", "stabilize"),
+        ("tune-curve", "--steps", "-1"),
+        ("inhomo", "--input", "{bad_csv}"),
+        ("inhomo", "--input", "{nan_csv}"),
+        ("inhomo", "--input", "{missing}"),
+        ("--config", "{missing}", "tune-curve"),
+    ]
+
+    @pytest.mark.parametrize("args", CASES, ids=" ".join)
+    def test_exits_2_with_error_line_and_no_file(self, tmp_path, capsys, args):
+        names = {"bad_csv": tmp_path / "bad.csv", "nan_csv": tmp_path / "nan.csv",
+                 "missing": tmp_path / "missing.csv"}
+        names["bad_csv"].write_text("# comment\nfrequency_GHz\n484111.25\nabc\n")
+        names["nan_csv"].write_text("484111.25\nnan\n")
+        out = tmp_path / "out"
+        try:
+            code = run_cli("--out", out, *(a.format(**names) for a in args))
+        except SystemExit as exc:  # rejected by argparse itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        if "{bad_csv}" in args:
+            assert "bad.csv, row 3" in err and "'abc'" in err
+        assert not out.exists() or not list(out.iterdir())
+
+
 class TestConfigValidation:
     def test_missing_unit_tag_names_key(self, tmp_path, capsys):
         doc = json.loads(default_config_text())
@@ -269,11 +331,64 @@ class TestConfigValidation:
                                      "transversal_hinge", "bulk_reference"}
         assert cfg.control.pid.update_rate_hz == 5.0
 
-    def test_pho_unit_conversion(self):
-        doc = json.loads(default_config_text())
-        doc["physics"]["lambda_g"] = {"value": 0.85, "unit": "THz"}
-        cfg = parse_config(json.dumps(doc))
-        assert cfg.physics.spin_orbit.lambda_g == pytest.approx(850.0)
+    # (key path, new value or DROP, attribute path in RunConfig, expected):
+    # one field per unit table, then every optional key left out
+    CONVERSIONS = [
+        ("physics.lambda_g", {"value": 0.85, "unit": "THz"},
+         "physics.spin_orbit.lambda_g", 850.0),
+        ("device.thermal.max_pulse", {"value": 0.05, "unit": "ms"},
+         "device.thermal.max_pulse_us", 50.0),
+        ("device.calibration.eps_ref", {"value": 7e-5, "unit": "1"},
+         "device.calibration.eps_ref", 7e-5),
+        ("emitters.0.peak_rate", {"value": 20.0, "unit": "kcounts/s"},
+         "emitters.axial_hinge.peak_rate", 20000.0),
+        ("device.geometry.w_spring", {"value": 0.2, "unit": "um"},
+         "device.geometry.w_spring", 200e-9),
+        ("physics.ground.t_perp", {"value": 520.0, "unit": "THz/strain"},
+         "physics.susc_g.t_perp", 520000.0),
+        ("control.pid.output_max", {"value": 79000.0, "unit": "mV"},
+         "control.pid.output_max", 79.0),
+        ("control.stabilization.duration", {"value": 420.0, "unit": "min"},
+         "control.stabilization.duration_s", 25200.0),
+        ("control.stabilization.n_scans", 40.0, "control.stabilization.n_scans", 40),
+        ("control.stabilization.scan_shape", "lorentzian",
+         "control.stabilization.scan_shape", "lorentzian"),
+        ("control.pid.integral_limit", DROP, "control.pid.integral_limit", 20.0),
+        ("control.cr_check.max_attempts", DROP, "control.cr_check.max_attempts", 1),
+        ("device.calibration.tensor_ratios.yz", DROP, "device.calibration.ratio_yz", 0.0),
+        ("device.calibration.tensor_ratios.zx", DROP, "device.calibration.ratio_zx", 0.0),
+        ("device.calibration.tensor_ratios.xy", DROP, "device.calibration.ratio_xy", 0.0),
+        ("control.stabilization.scan_shape", DROP,
+         "control.stabilization.scan_shape", "voigt"),
+        ("inhomogeneous", DROP, "inhomogeneous.cluster_weight", 0.45),
+    ]
+
+    @pytest.mark.parametrize("key, value, attr, expected", CONVERSIONS,
+                             ids=[c[0] + ("-default" if c[1] is DROP else "")
+                                  for c in CONVERSIONS])
+    def test_pho_unit_conversion(self, key, value, attr, expected):
+        doc = mutate(json.loads(default_config_text()), key.split("."), value)
+        got = parse_config(json.dumps(doc))
+        for name in attr.split("."):
+            got = got[name] if isinstance(got, dict) else getattr(got, name)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert type(got) is type(expected)
+
+    DOC = json.loads(default_config_text())
+    MUTANTS = [DROP, "text", True, None, float("nan"), float("inf"), 2.5,
+               [1.0, 2.0], {"value": 1.0, "unit": "furlong"}]
+
+    @given(path=hyp.sampled_from(list(key_paths(DOC))),
+           mutant=hyp.sampled_from(MUTANTS))
+    @example(path=("control", "lockin", "bins_per_period"), mutant=float("nan"))
+    @example(path=("control", "stabilization", "n_scans"), mutant=2.7)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_config_raises_only_config_error(self, path, mutant):
+        doc = mutate(copy.deepcopy(self.DOC), path, mutant)
+        try:
+            parse_config(json.dumps(doc))
+        except st.ConfigError:
+            pass
 
 
 class TestReproducibility:

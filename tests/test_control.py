@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -312,6 +313,21 @@ class TestRunStabilization:
                      "scan_center_ghz", "scan_fwhm_mhz", "scan_true_center_ghz"):
             a, b = getattr(logs[0], name), getattr(logs[1], name)
             assert np.array_equal(a, b, equal_nan=True)
+
+    def test_golden_log_digest(self, config, axial, device):
+        # Pins the FeedbackLog of a short fixed-seed run bit for bit, so a
+        # refactor that claims to keep behaviour must leave this digest as is.
+        stab = replace(config.control.stabilization, duration_s=1800.0, n_scans=4)
+        log = st.run_stabilization(axial, device, config.control.drift,
+                                   config.control.lockin, config.control.pid,
+                                   config.control.cr_check, stab, seed=11)
+        digest = hashlib.sha256()
+        for name in ("dc_voltage_v", "error_ghz", "lockin_valid", "cr_pass",
+                     "scan_center_ghz", "scan_fwhm_mhz", "scan_true_center_ghz"):
+            a = np.ascontiguousarray(getattr(log, name))
+            digest.update(name.encode() + str(a.dtype).encode() + a.tobytes())
+        assert digest.hexdigest() == (
+            "76ffce39d43f3401b9963d29808b20793350b7b8fa8de1b0da7cd229722a7a70")
 
     def test_voltage_always_clamped(self, config, axial, device):
         pid = replace(config.control.pid, output_min=38.0, output_max=42.0)
