@@ -179,10 +179,10 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
     grows with the excess steady-state heat of the relaxation recurrence.
     Leakage heating scales with the square of the applied voltage.
     """
-    if not (pulse_us > 0.0 and cooldown_us >= 0.0):
-        raise InputError("pulse duration must be > 0 and cooldown >= 0")
-    if v < 0.0:
-        raise InputError("voltage must be >= 0")
+    if not (0.0 < pulse_us < math.inf and cooldown_us >= 0.0):
+        raise InputError("pulse duration must be finite and > 0, cooldown >= 0")
+    if not 0.0 <= v < math.inf:
+        raise InputError("voltage must be finite and >= 0")
     heat = _steady_state_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
     safe = _steady_state_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
     excess = max(0.0, heat - safe)

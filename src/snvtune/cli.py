@@ -150,6 +150,8 @@ def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         if not 0.0 <= v <= cfg.device.calibration.v_max:
             raise RangeError(
                 f"bias {v} V outside [0, {cfg.device.calibration.v_max}] V")
+    if ns.points < 1:
+        raise InputError("--points must be >= 1")
     tasks = []
     for v in voltages:
         center = ns.center

@@ -43,8 +43,10 @@ VOLTAGE_V = {"V": 1.0, "mV": 1e-3, "kV": 1e3}
 RATE_PER_S = {"counts/s": 1.0, "1/s": 1.0, "Hz": 1.0, "kcounts/s": 1e3}
 STRAIN_1 = {"strain": 1.0, "1": 1.0, "": 1.0}
 SLOPE_MHZ_PER_GHZ = {"MHz/GHz": 1.0}
-GAIN_V_PER_GHZ = {"V/GHz": 1.0, "V/GHz*s": 1.0, "V*s/GHz": 1.0,
-                  "V/(GHz*s)": 1.0, "V/GHz/s": 1.0}
+# one table per PID gain, so a gain tagged with another gain's dimension is refused
+GAIN_V_PER_GHZ = {"V/GHz": 1.0}
+GAIN_V_PER_GHZ_S = {"V/(GHz*s)": 1.0, "V/GHz/s": 1.0}
+GAIN_V_S_PER_GHZ = {"V*s/GHz": 1.0}
 
 _ORIENTATIONS = {o.value: o for o in Orientation}
 
@@ -79,8 +81,8 @@ LOCKIN = [("mod_amp_v", "mod_amp", VOLTAGE_V),
           ("periods_per_probe", "periods_per_probe", int),
           ("bins_per_period", "bins_per_period", int),
           ("probe_duration_s", "probe_duration", TIME_S)]
-PID = [("kp", "kp", GAIN_V_PER_GHZ), ("ki", "ki", GAIN_V_PER_GHZ),
-       ("kd", "kd", GAIN_V_PER_GHZ), ("output_min", "output_min", VOLTAGE_V),
+PID = [("kp", "kp", GAIN_V_PER_GHZ), ("ki", "ki", GAIN_V_PER_GHZ_S),
+       ("kd", "kd", GAIN_V_S_PER_GHZ), ("output_min", "output_min", VOLTAGE_V),
        ("output_max", "output_max", VOLTAGE_V),
        ("update_rate_hz", "update_rate", RATE_PER_S),
        ("integral_limit", "integral_limit", float, 20.0)]

@@ -16,6 +16,7 @@ identical drift realization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -166,17 +167,25 @@ class PIDState:
     last_measurement: float | None = None
 
 
-def _probe_phases(cfg: LockInConfig) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _probe_table(cfg: LockInConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-config probe constants: sin(phase) and bias offset per bin, bin time.
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
     n = cfg.periods_per_probe * cfg.bins_per_period
-    return 2.0 * np.pi * (np.arange(n) + 0.5) / cfg.bins_per_period
+    phases = 2.0 * np.pi * (np.arange(n) + 0.5) / cfg.bins_per_period
+    sin = np.sin(phases)
+    offsets_v = cfg.mod_amp_v * sin
+    sin.setflags(write=False)
+    offsets_v.setflags(write=False)
+    return sin, offsets_v, cfg.probe_duration_s / n
 
 
 def _modulated_rates(state: EmitterState, target_ghz: float,
-                     cfg: LockInConfig, curve: TuningCurve,
-                     phases: np.ndarray) -> np.ndarray:
+                     offsets_v: np.ndarray, curve: TuningCurve) -> np.ndarray:
     """Expected count rate per phase bin under bias modulation."""
-    volts = state.dc_voltage + cfg.mod_amp_v * np.sin(phases)
-    line = curve.shift(volts) + state.drift_ghz
+    line = curve.shift(state.dc_voltage + offsets_v) + state.drift_ghz
     fwhm_ghz = effective_linewidth(state.emitter, curve.shift(state.dc_voltage)) / MHZ_PER_GHZ
     shape = lorentzian_peak(target_ghz - line, fwhm_ghz)
     return state.emitter.peak_rate * shape + state.emitter.background_rate
@@ -198,10 +207,10 @@ class LockInCalibration:
 
 
 def _expected_demod(state: EmitterState, target_ghz: float, cfg: LockInConfig,
-                    curve: TuningCurve, phases: np.ndarray) -> float:
-    t_bin = cfg.probe_duration_s / phases.size
-    rates = _modulated_rates(state, target_ghz, cfg, curve, phases)
-    return float(np.sum(rates * t_bin * np.sin(phases)))
+                    curve: TuningCurve) -> float:
+    sin, offsets_v, t_bin = _probe_table(cfg)
+    rates = _modulated_rates(state, target_ghz, offsets_v, curve)
+    return float(np.add.reduce(rates * t_bin * sin))
 
 
 def calibrate_lockin(state: EmitterState, target_ghz: float,
@@ -215,15 +224,14 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     lock-in calibration sweep would measure.
     """
     curve = curve if curve is not None else TuningCurve(state.emitter, state.device)
-    phases = _probe_phases(cfg)
     fwhm_ghz = effective_linewidth(state.emitter, curve.shift(state.dc_voltage)) / MHZ_PER_GHZ
     h = fwhm_ghz / 100.0
     on_res = replace(state, drift_ghz=target_ghz - curve.shift(state.dc_voltage))
-    zero = _expected_demod(on_res, target_ghz, cfg, curve, phases)
+    zero = _expected_demod(on_res, target_ghz, cfg, curve)
     plus = _expected_demod(replace(on_res, drift_ghz=on_res.drift_ghz + h),
-                           target_ghz, cfg, curve, phases)
+                           target_ghz, cfg, curve)
     minus = _expected_demod(replace(on_res, drift_ghz=on_res.drift_ghz - h),
-                            target_ghz, cfg, curve, phases)
+                            target_ghz, cfg, curve)
     return LockInCalibration(sensitivity=(plus - minus) / (2.0 * h),
                              zero_offset=zero)
 
@@ -242,13 +250,11 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     voltage).
     """
     curve = curve if curve is not None else TuningCurve(state.emitter, state.device)
-    phases = _probe_phases(cfg)
-    t_bin = cfg.probe_duration_s / phases.size
-    rates = _modulated_rates(state, target_ghz, cfg, curve, phases)
-    expected = rates * t_bin
+    sin, offsets_v, t_bin = _probe_table(cfg)
+    expected = _modulated_rates(state, target_ghz, offsets_v, curve) * t_bin
     counts = expected if rng is None else rng.poisson(expected)
-    total = float(np.sum(counts))
-    demod = float(np.sum(counts * np.sin(phases)))
+    total = float(np.add.reduce(counts))
+    demod = float(np.add.reduce(counts * sin))
     if total <= 0.0:
         return LockInResult(error_ghz=0.0, raw_demod=0.0, total_counts=0.0, valid=False)
     if not cfg.slope_normalized:
@@ -300,15 +306,16 @@ def pid_update(state: PIDState, voltage: float, error_ghz: float,
     """
     if not dt_s > 0.0:
         raise InputError("dt_s must be > 0")
-    state.integral = float(np.clip(state.integral + error_ghz * dt_s,
-                                   -cfg.integral_limit, cfg.integral_limit))
+    # min/max give np.clip's value bit for bit (NaN and signed zeros included)
+    state.integral = float(min(max(state.integral + error_ghz * dt_s,
+                                   -cfg.integral_limit), cfg.integral_limit))
     if state.last_measurement is None or cfg.kd == 0.0:
         derivative = 0.0
     else:
         derivative = (state.last_measurement - error_ghz) / dt_s
     state.last_measurement = error_ghz
     u = cfg.kp * error_ghz + cfg.ki * state.integral + cfg.kd * derivative
-    return float(np.clip(voltage + u, cfg.output_min, cfg.output_max))
+    return float(min(max(voltage + u, cfg.output_min), cfg.output_max))
 
 
 @dataclass(frozen=True)
@@ -326,14 +333,14 @@ class StabilizationConfig:
     scan_shape: str = "voigt"
 
     def __post_init__(self):
-        if not self.duration_s > 0.0:
-            raise ConfigError("stabilization.duration must be > 0 (empty log)")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ConfigError("stabilization.duration must be finite and > 0")
         if self.n_scans < 1:
             raise ConfigError("stabilization.n_scans must be >= 1")
         if self.scan_points < 8:
             raise ConfigError("stabilization.scan_points must be >= 8")
-        if not (self.scan_span_ghz > 0.0 and self.scan_dwell_s > 0.0):
-            raise ConfigError("scan span and dwell must be > 0")
+        if not (0.0 < self.scan_span_ghz < math.inf and 0.0 < self.scan_dwell_s < math.inf):
+            raise ConfigError("scan span and dwell must be finite and > 0")
 
 
 @dataclass

@@ -13,6 +13,7 @@ feedback loop can evaluate shifts at kilohertz rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +113,40 @@ class TuningCurve:
         self._scale_per_v2 = self._da1g = self._c_g = self._c_u = 0.0
         if not emitter.is_bulk:
             g = bending_profile(device.geometry, emitter.position)
-            self._scale_per_v2 = cal.eps_ref * g / cal.v_ref ** 2
+            self._scale_per_v2 = float(cal.eps_ref * g / cal.v_ref ** 2)
             if g != 0.0:
                 s_ref = cal.eps_ref * g
                 ir_g, ir_u = _irreducible_at(emitter, device, cal.v_ref)
-                self._da1g = (ir_u.eps_a1g - ir_g.eps_a1g) / s_ref
-                self._c_g = 4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2
-                self._c_u = 4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2
-        self._lam_g = emitter.spin_orbit.lambda_g
-        self._lam_u = emitter.spin_orbit.lambda_u
+                self._da1g = float((ir_u.eps_a1g - ir_g.eps_a1g) / s_ref)
+                self._c_g = float(4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2)
+                self._c_u = float(4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2)
+        # Python floats, so the scalar path below stays in math arithmetic
+        self._lam_g = float(emitter.spin_orbit.lambda_g)
+        self._lam_u = float(emitter.spin_orbit.lambda_u)
+        self._lam_g2 = self._lam_g ** 2
+        self._lam_u2 = self._lam_u ** 2
 
     def shift(self, v):
-        """C-transition shift in GHz for voltage ``v`` (vectorized)."""
-        s = self._scale_per_v2 * np.asarray(v, dtype=float) ** 2  # local eps_xx
+        """C-transition shift in GHz for voltage ``v`` (vectorized).
+
+        A Python number takes a ``math`` path that performs the array path's
+        operations in the same order, so scalar and array inputs give
+        identical values, bit for bit.
+        """
+        if isinstance(v, (float, int)):
+            v = float(v)
+            s = self._scale_per_v2 * (v * v)  # local eps_xx
+            s2 = s * s
+            delta_g = math.sqrt(self._lam_g2 + self._c_g * s2)
+            delta_u = math.sqrt(self._lam_u2 + self._c_u * s2)
+            return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
+                    + 0.5 * (delta_g - self._lam_g))
+        v = np.asarray(v, dtype=float)
+        s = self._scale_per_v2 * (v * v)
         s2 = s * s
-        delta_g = np.sqrt(self._lam_g ** 2 + self._c_g * s2)
-        delta_u = np.sqrt(self._lam_u ** 2 + self._c_u * s2)
+        delta_g = np.sqrt(self._lam_g2 + self._c_g * s2)
+        delta_u = np.sqrt(self._lam_u2 + self._c_u * s2)
         out = s * self._da1g - 0.5 * (delta_u - self._lam_u) + 0.5 * (delta_g - self._lam_g)
-        return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
+        return float(out) if v.ndim == 0 else out
 
     __call__ = shift

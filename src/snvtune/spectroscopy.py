@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,18 @@ MHZ_PER_GHZ = 1000.0
 
 
 def lorentzian_peak(x, fwhm_ghz):
-    """Unit-peak Lorentzian, x and FWHM in the same units."""
+    """Unit-peak Lorentzian, x and FWHM in the same units.
+
+    A Python float takes a ``math`` path with the operations numpy applies to
+    a scalar (``** 2`` is libm ``pow`` in both), so it gives the same value.
+    """
+    if isinstance(x, float):
+        y = 2.0 * x / fwhm_ghz
+        try:
+            y2 = y ** 2
+        except OverflowError:  # numpy returns inf here
+            y2 = math.inf
+        return 1.0 / (1.0 + y2)
     return 1.0 / (1.0 + (2.0 * np.asarray(x, dtype=float) / fwhm_ghz) ** 2)
 
 
@@ -151,14 +163,15 @@ def simulate_ple(emitter: EmitterModel, device: DeviceModel, v: float,
     strain-broadened width.  Deterministic given inputs and seed; pass
     neither ``rng`` nor ``seed`` for noise-free expected-value output.
     """
-    if not dwell_s > 0.0:
-        raise InputError("dwell_s must be > 0")
+    if not 0.0 < dwell_s < math.inf:
+        raise InputError("dwell_s must be finite and > 0")
+    detunings = np.asarray(detunings, dtype=float)
+    if detunings.size == 0 or not np.isfinite(detunings).all():
+        raise InputError("detunings must be a non-empty grid of finite values")
     curve = TuningCurve(emitter, device)
     shift = curve.shift(v)
     fwhm = effective_linewidth(emitter, shift)
-    detunings = np.asarray(detunings, dtype=float)
-    warn = bool(detunings.size and not
-                (detunings[0] <= shift <= detunings[-1]))
+    warn = not detunings[0] <= shift <= detunings[-1]
     return sample_scan(emitter, detunings, shift, fwhm, dwell_s, v,
                        rng=rng, seed=seed, window_warning=warn)
 

@@ -261,14 +261,27 @@ class TestMalformedArguments:
         ("inhomo", "--input", "{nan_csv}"),
         ("inhomo", "--input", "{missing}"),
         ("--config", "{missing}", "tune-curve"),
+        ("--config", "{bad_gain}", "tune-curve"),
+        ("stabilize", "--duration", "inf"),
+        ("ple", "--emitter", "axial_hinge", "--span", "nan"),
+        ("ple", "--emitter", "axial_hinge", "--center", "nan"),
+        ("ple", "--emitter", "axial_hinge", "--dwell", "inf"),
+        ("ple", "--emitter", "axial_hinge", "--points", "0"),
+        ("ple", "--emitter", "axial_hinge", "--points", "-1"),
+        ("calibrate-pulse", "--bias", "nan"),
+        ("calibrate-pulse", "--pulses", "inf"),
     ]
 
     @pytest.mark.parametrize("args", CASES, ids=" ".join)
     def test_exits_2_with_error_line_and_no_file(self, tmp_path, capsys, args):
         names = {"bad_csv": tmp_path / "bad.csv", "nan_csv": tmp_path / "nan.csv",
-                 "missing": tmp_path / "missing.csv"}
+                 "missing": tmp_path / "missing.csv", "bad_gain": tmp_path / "gain.json"}
         names["bad_csv"].write_text("# comment\nfrequency_GHz\n484111.25\nabc\n")
         names["nan_csv"].write_text("484111.25\nnan\n")
+        # a proportional gain tagged with the integral gain's dimension
+        names["bad_gain"].write_text(json.dumps(mutate(
+            json.loads(default_config_text()), ["control", "pid", "kp", "unit"],
+            "V/(GHz*s)")))
         out = tmp_path / "out"
         try:
             code = run_cli("--out", out, *(a.format(**names) for a in args))
@@ -279,6 +292,8 @@ class TestMalformedArguments:
         assert "error: " in err and "Traceback" not in err
         if "{bad_csv}" in args:
             assert "bad.csv, row 3" in err and "'abc'" in err
+        if "{bad_gain}" in args:
+            assert "control.pid.kp" in err and "V/(GHz*s)" in err
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -348,6 +363,9 @@ class TestConfigValidation:
          "physics.susc_g.t_perp", 520000.0),
         ("control.pid.output_max", {"value": 79000.0, "unit": "mV"},
          "control.pid.output_max", 79.0),
+        ("control.pid.kp", {"value": 0.5, "unit": "V/GHz"}, "control.pid.kp", 0.5),
+        ("control.pid.ki", {"value": 0.5, "unit": "V/GHz/s"}, "control.pid.ki", 0.5),
+        ("control.pid.kd", {"value": 0.5, "unit": "V*s/GHz"}, "control.pid.kd", 0.5),
         ("control.stabilization.duration", {"value": 420.0, "unit": "min"},
          "control.stabilization.duration_s", 25200.0),
         ("control.stabilization.n_scans", 40.0, "control.stabilization.n_scans", 40),

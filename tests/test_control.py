@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune.control import (CRCheckConfig, DriftProcess, EmitterState,
-                             LockInConfig, PIDConfig, PIDState,
+                             LockInConfig, PIDConfig, PIDState, _probe_table,
                              calibrate_lockin, cr_check, lockin_error,
                              pid_update, summarize_log, summed_scan)
 from snvtune.emitters import TuningCurve, shift_from_voltage_chain
@@ -98,6 +100,37 @@ class TestLockInError:
                                  cfg.control.lockin, curve=curve, calibration=cal)
             assert plus.error_ghz == pytest.approx(
                 -minus.error_ghz, rel=0.02, abs=1e-4 * fwhm_ghz)
+
+    @given(name=hyp.sampled_from(["axial_hinge", "axial_mid", "transversal_hinge"]),
+           v_op=hyp.floats(10.0, 75.0), frac=hyp.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_and_zero_at_resonance_over_operating_points(self, config, device,
+                                                             name, v_op, frac):
+        lk = config.control.lockin
+        emitter = config.emitter(name)
+        curve = TuningCurve(emitter, device)
+        target = curve.shift(v_op)
+        state = EmitterState(emitter, device, v_op, 0.0)
+        cal = calibrate_lockin(state, target, lk, curve)
+        fwhm_ghz = effective_linewidth(emitter, target) / 1000.0
+
+        def error(delta):
+            return lockin_error(replace(state, drift_ghz=delta), target, lk,
+                                rng=None, curve=curve, calibration=cal).error_ghz
+
+        assert abs(error(0.0)) <= 1e-8 * fwhm_ghz
+        # the quadratic voltage-to-frequency map makes the response slightly
+        # asymmetric: up to 4.3% at 10 V and one FWHM on the shipped emitters
+        delta = frac * fwhm_ghz
+        assert error(delta) == pytest.approx(-error(-delta), rel=0.05,
+                                             abs=1e-4 * fwhm_ghz)
+
+    def test_probe_table_is_read_only(self, lock_setup):
+        sin, offsets_v, _ = _probe_table(lock_setup[0].control.lockin)
+        for table in (sin, offsets_v):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_linear_range_against_numeric_integration_oracle(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
@@ -258,6 +291,43 @@ class TestPIDUpdate:
         assert pid_update(state, 40.0, 3.0, cfg, 0.5) == 40.0  # no history yet
         # measurement rising from 3.0 to 4.0 at dt=0.5 -> derivative term -2*(2.0)
         assert pid_update(state, 40.0, 4.0, cfg, 0.5) == pytest.approx(36.0)
+
+    @staticmethod
+    def np_clip_reference(state, voltage, error_ghz, cfg, dt_s):
+        """One PID step with both clamps done by ``np.clip``."""
+        integral = float(np.clip(state.integral + error_ghz * dt_s,
+                                 -cfg.integral_limit, cfg.integral_limit))
+        if state.last_measurement is None or cfg.kd == 0.0:
+            derivative = 0.0
+        else:
+            derivative = (state.last_measurement - error_ghz) / dt_s
+        u = cfg.kp * error_ghz + cfg.ki * integral + cfg.kd * derivative
+        return integral, float(np.clip(voltage + u, cfg.output_min, cfg.output_max))
+
+    @given(gains=hyp.tuples(hyp.floats(-10.0, 10.0), hyp.floats(-10.0, 10.0),
+                            hyp.sampled_from([0.0, 0.5, -2.0])),
+           lo=hyp.floats(-100.0, 100.0), width=hyp.floats(1e-3, 100.0),
+           limit=hyp.floats(0.0, 50.0), integral=hyp.floats(-50.0, 50.0),
+           last=hyp.none() | hyp.floats(-1e3, 1e3), voltage=hyp.floats(-200.0, 200.0),
+           error=hyp.floats(-1e6, 1e6) | hyp.sampled_from(
+               [-0.0, math.nan, math.inf, -math.inf]),
+           dt=hyp.floats(1e-3, 10.0))
+    @example(gains=(1.0, 0.0, 0.0), lo=0.0, width=79.0, limit=0.0, integral=-0.0,
+             last=None, voltage=-0.0, error=-0.0, dt=0.2)
+    @settings(max_examples=300, deadline=None)
+    def test_clamps_match_np_clip_bit_for_bit(self, gains, lo, width, limit,
+                                              integral, last, voltage, error, dt):
+        kp, ki, kd = gains
+        cfg = PIDConfig(kp=kp, ki=ki, kd=kd, output_min=lo, output_max=lo + width,
+                        integral_limit=limit)
+        state = PIDState(integral=integral, last_measurement=last)
+        ref_integral, ref_out = self.np_clip_reference(state, voltage, error, cfg, dt)
+        out = pid_update(state, voltage, error, cfg, dt)
+        assert np.float64(out).tobytes() == np.float64(ref_out).tobytes()
+        assert np.float64(state.integral).tobytes() == np.float64(ref_integral).tobytes()
+        if math.isfinite(error):
+            assert cfg.output_min <= out <= cfg.output_max
+            assert abs(state.integral) <= cfg.integral_limit
 
     def test_linear_plant_convergence_with_shipped_gains(self, config):
         cfg = config.control.pid

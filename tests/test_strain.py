@@ -191,6 +191,18 @@ class TestVoltageChain:
                 direct = st.shift_from_voltage_chain(emitter, device, float(v))
                 assert curve.shift(float(v)) == pytest.approx(direct, abs=1e-9)
 
+    @given(data=hyp.data(), frac=hyp.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_shift_equals_array_shift(self, config, device, data, frac):
+        emitter = config.emitter(data.draw(hyp.sampled_from(sorted(config.emitters))))
+        curve = st.TuningCurve(emitter, device)
+        v = frac * device.calibration.v_max
+        scalar = curve.shift(v)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == curve.shift(np.array([v]))[0].tobytes()
+        direct = st.shift_from_voltage_chain(emitter, device, v)
+        assert scalar == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
     def test_level_response_invariants_along_curve(self, axial, device):
         so = axial.spin_orbit
         for v in np.linspace(0.0, device.calibration.v_max, 7):
