@@ -318,6 +318,9 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> 
     pulses = _number_list(ns.pulses, float, "--pulses")
     cooldowns = _number_list(ns.cooldowns, float, "--cooldowns")
     bias = ns.bias if ns.bias is not None else cfg.device.calibration.v_ref
+    if bias > cfg.device.calibration.v_max:
+        raise RangeError(
+            f"bias {bias} V outside [0, {cfg.device.calibration.v_max}] V")
     thermal = cfg.device.thermal
     rows = []
     for p in pulses:

@@ -28,6 +28,7 @@ from .emitters import EmitterModel, TuningCurve
 from .errors import InputError
 
 MHZ_PER_GHZ = 1000.0
+_LN2 = np.log(2.0)
 
 
 def lorentzian_peak(x, fwhm_ghz):
@@ -180,14 +181,48 @@ def _lorentz_model(x, amp, center, fwhm, bg):
     return amp / (1.0 + (2.0 * (x - center) / fwhm) ** 2) + bg
 
 
+def _lorentz_jac(x, amp, center, fwhm, bg):
+    # u = 2 (x - center) / fwhm, L = 1 / (1 + u^2) and dL/du = -2 u L^2,
+    # chained through du/dcenter = -2 / fwhm and du/dfwhm = -u / fwhm;
+    # k = -(d model / du) / fwhm.
+    u = 2.0 * (x - center) / fwhm
+    lor = 1.0 / (1.0 + u * u)
+    k = 2.0 * amp * u * lor * lor / fwhm
+    jac = np.empty((x.size, 4))
+    jac[:, 0] = lor
+    jac[:, 1] = 2.0 * k
+    jac[:, 2] = u * k
+    jac[:, 3] = 1.0
+    return jac
+
+
 def _pseudo_voigt_model(x, amp, center, fwhm, eta, bg):
     # Unit-peak mix of a Lorentzian and a Gaussian of common FWHM; within
     # about 1% of a true Voigt profile over the fitted range, far below
     # photon noise at realistic count rates.
-    half = 0.5 * fwhm
-    lor = 1.0 / (1.0 + ((x - center) / half) ** 2)
-    gau = np.exp(-np.log(2.0) * ((x - center) / half) ** 2)
+    u2 = ((x - center) / (0.5 * fwhm)) ** 2
+    lor = 1.0 / (1.0 + u2)
+    gau = np.exp(-_LN2 * u2)
     return amp * (eta * lor + (1.0 - eta) * gau) + bg
+
+
+def _pseudo_voigt_jac(x, amp, center, fwhm, eta, bg):
+    # u = (x - center) / (fwhm / 2), L = 1 / (1 + u^2), G = exp(-ln2 u^2);
+    # dL/du = -2 u L^2 and dG/du = -2 ln2 u G, chained through
+    # du/dcenter = -2 / fwhm and du/dfwhm = -u / fwhm;
+    # k = -(d model / du) / fwhm.
+    u = (x - center) / (0.5 * fwhm)
+    u2 = u * u
+    lor = 1.0 / (1.0 + u2)
+    gau = np.exp(-_LN2 * u2)
+    k = 2.0 * amp * u * (eta * lor * lor + (1.0 - eta) * _LN2 * gau) / fwhm
+    jac = np.empty((x.size, 5))
+    jac[:, 0] = eta * lor + (1.0 - eta) * gau
+    jac[:, 1] = 2.0 * k
+    jac[:, 2] = u * k
+    jac[:, 3] = amp * (lor - gau)
+    jac[:, 4] = 1.0
+    return jac
 
 
 def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
@@ -197,7 +232,9 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     an unweighted fit seeds Poisson weights taken from the model prediction
     (weighting by observed counts would bias the width low).  Pathological
     data yields ``converged=False`` instead of raising; fewer than 8 points
-    or no signal above the background estimate is an input error.
+    or no signal above the background estimate is an input error.  Both
+    passes use the models' closed-form Jacobians rather than finite
+    differences.
     """
     if shape not in ("lorentzian", "voigt"):
         raise InputError(f"unknown line shape {shape!r}")
@@ -218,19 +255,23 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     span = float(x[-1] - x[0])
 
     if shape == "lorentzian":
-        model, p0 = _lorentz_model, [amp0, c0, fwhm0, bg0]
+        model, jac = _lorentz_model, _lorentz_jac
+        p0 = [amp0, c0, fwhm0, bg0]
         bounds = ([0.0, x[0], step * 0.1, 0.0],
                   [np.inf, x[-1], 4.0 * span, np.inf])
     else:
-        model, p0 = _pseudo_voigt_model, [amp0, c0, fwhm0, 0.7, bg0]
+        model, jac = _pseudo_voigt_model, _pseudo_voigt_jac
+        p0 = [amp0, c0, fwhm0, 0.7, bg0]
         bounds = ([0.0, x[0], step * 0.1, 0.0, 0.0],
                   [np.inf, x[-1], 4.0 * span, 1.0, np.inf])
 
     try:
-        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
+        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000,
+                            jac=jac)
         sigma = np.sqrt(np.maximum(model(x, *popt), 1.0))
         popt, pcov = curve_fit(model, x, y, p0=popt, sigma=sigma,
-                               absolute_sigma=True, bounds=bounds, maxfev=20000)
+                               absolute_sigma=True, bounds=bounds, maxfev=20000,
+                               jac=jac)
     except (RuntimeError, ValueError):
         return FitResult(center=c0, fwhm=fwhm0 * MHZ_PER_GHZ, amplitude=amp0,
                          center_stderr=np.inf, converged=False, background=bg0)
@@ -348,6 +389,7 @@ def scan_to_csv(scan: ScanRecord, path: str | Path,
                 row.append(f"{scan.expected[i]:.12g}")
             writer.writerow(row)
     meta = {
+        "counts_kind": "int" if counts_are_int else "float",
         "dwell_s": scan.dwell_s,
         "bias_V": scan.bias_v,
         "seed": scan.seed,
@@ -361,7 +403,11 @@ def scan_to_csv(scan: ScanRecord, path: str | Path,
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
-    """Load a scan written by :func:`scan_to_csv`."""
+    """Load a scan written by :func:`scan_to_csv`.
+
+    The counts keep the dtype kind recorded in the sidecar; without one,
+    whole-numbered counts load as integers.
+    """
     path = Path(path)
     detunings, counts, expected = [], [], []
     has_expected = False
@@ -377,7 +423,10 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
     counts_arr = np.asarray(counts)
-    if np.all(counts_arr == np.round(counts_arr)):
+    kind = meta.get("counts_kind")
+    if kind is None:
+        kind = "int" if np.all(counts_arr == np.round(counts_arr)) else "float"
+    if kind == "int":
         counts_arr = counts_arr.astype(np.int64)
     return ScanRecord(
         detunings=np.asarray(detunings, dtype=float),

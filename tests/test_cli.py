@@ -143,6 +143,12 @@ class TestPle:
         assert run_cli("--out", tmp_path, "ple", "--emitter", "axial_hinge",
                        "--bias", "500") == 3
 
+    def test_calibrate_pulse_over_range_bias_exits_3(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "calibrate-pulse", "--bias", "1000",
+                       "--pulses", "10", "--cooldowns", "100") == 3
+        assert "error: bias 1000.0 V outside" in capsys.readouterr().err
+        assert not (tmp_path / "pulse_calibration.csv").exists()
+
 
 class TestInhomo:
     def test_matched_dataset_fraction(self, tmp_path):

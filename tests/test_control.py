@@ -384,20 +384,36 @@ class TestRunStabilization:
             a, b = getattr(logs[0], name), getattr(logs[1], name)
             assert np.array_equal(a, b, equal_nan=True)
 
-    def test_golden_log_digest(self, config, axial, device):
-        # Pins the FeedbackLog of a short fixed-seed run bit for bit, so a
-        # refactor that claims to keep behaviour must leave this digest as is.
+    @pytest.fixture(scope="class")
+    def golden_log(self, config, axial, device):
         stab = replace(config.control.stabilization, duration_s=1800.0, n_scans=4)
-        log = st.run_stabilization(axial, device, config.control.drift,
-                                   config.control.lockin, config.control.pid,
-                                   config.control.cr_check, stab, seed=11)
+        return st.run_stabilization(axial, device, config.control.drift,
+                                    config.control.lockin, config.control.pid,
+                                    config.control.cr_check, stab, seed=11)
+
+    @staticmethod
+    def _digest(log, names):
         digest = hashlib.sha256()
-        for name in ("dc_voltage_v", "error_ghz", "lockin_valid", "cr_pass",
-                     "scan_center_ghz", "scan_fwhm_mhz", "scan_true_center_ghz"):
+        for name in names:
             a = np.ascontiguousarray(getattr(log, name))
             digest.update(name.encode() + str(a.dtype).encode() + a.tobytes())
-        assert digest.hexdigest() == (
-            "76ffce39d43f3401b9963d29808b20793350b7b8fa8de1b0da7cd229722a7a70")
+        return digest.hexdigest()
+
+    def test_golden_control_digest(self, golden_log):
+        # Pins the per-frame control arrays of a short fixed-seed run bit for
+        # bit, so a refactor that claims to keep behaviour must leave this
+        # digest as is.  The fit columns are pinned separately below: they
+        # are not fed back into the loop.
+        assert self._digest(golden_log, (
+            "dc_voltage_v", "error_ghz", "lockin_valid", "cr_pass",
+            "scan_true_center_ghz")) == (
+            "5f2eb07cb894be44f3bbd45dc0a2c11f1e51a2e6fe7af4ef66549c3d436e36ae")
+
+    def test_golden_fit_digest(self, golden_log):
+        # The fitted scan columns of the same run: a change to the fit's
+        # rounding moves only these.
+        assert self._digest(golden_log, ("scan_center_ghz", "scan_fwhm_mhz")) == (
+            "238ee05519649d2a6db3977b263571e6a403ddc9628e0a784cc10e9c94fdd5cb")
 
     def test_voltage_always_clamped(self, config, axial, device):
         pid = replace(config.control.pid, output_min=38.0, output_max=42.0)
