@@ -25,9 +25,8 @@ from .errors import (ConfigError, ContractError, DomainError, InputError,
 from .frames import (Orientation, OrientationClass, classify,
                      defect_rotation, lab_to_crystal, lab_to_defect,
                      rotate_strain)
-from .spectroscopy import (FitResult, InhomogeneousSample, ScanRecord,
-                           cdf_and_window, effective_linewidth, fit_line,
-                           find_peak_frequencies, simulate_ple)
+from .spectroscopy import (FitResult, ScanRecord, cdf_and_window,
+                           effective_linewidth, fit_line, simulate_ple)
 from .strain import (Frame, IrreducibleStrain, LevelResponse, SpinOrbit,
                      StrainSusceptibilities, StrainTensor,
                      irreducible_components, level_response, splitting,

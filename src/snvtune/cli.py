@@ -29,9 +29,8 @@ from .control import run_stabilization, summarize_log
 from .emitters import TuningCurve, shift_from_voltage_chain
 from .errors import (ConfigError, ContractError, DomainError, InputError,
                      RangeError)
-from .spectroscopy import (InhomogeneousSample, cdf_and_window,
-                           effective_linewidth, sample_inhomogeneous,
-                           scan_to_csv, simulate_ple)
+from .spectroscopy import (cdf_and_window, effective_linewidth,
+                           sample_inhomogeneous, scan_to_csv, simulate_ple)
 from .actuator import pulsed_resonance_offset
 
 
@@ -90,7 +89,8 @@ def _number_list(text: str, kind, flag: str) -> list:
 def _parallel_map(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool launches all max_workers processes at once
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -113,7 +113,7 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     for name in names:
         cfg.emitter(name)  # validate before any output
     v_max = ns.v_max if ns.v_max is not None else cfg.device.calibration.v_max
-    if not 0.0 <= ns.v_min <= v_max:
+    if not 0.0 <= ns.v_min <= v_max < math.inf:
         raise InputError(f"voltage grid [{ns.v_min}, {v_max}] is invalid")
     if ns.steps < 1:
         raise InputError("--steps must be >= 1")
@@ -212,8 +212,7 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
             n, inh.cluster_sigma_ghz, inh.cluster_weight, inh.broad_span_ghz,
             rng, center_ghz=cfg.physics.nu0)
         origin = f"generated, n={n}"
-    sample = InhomogeneousSample(resonances=values, spot_count=values.size)
-    result = cdf_and_window(sample, ns.window)
+    result = cdf_and_window(values, ns.window)
 
     cdf_path = out / "inhomo_cdf.csv"
     _write_csv(cdf_path, _provenance(cfg, "inhomo", seed) + [f"source={origin}"],

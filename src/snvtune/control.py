@@ -85,7 +85,6 @@ class LockInConfig:
     periods_per_probe: int = 2
     bins_per_period: int = 16
     probe_duration_s: float = 0.1
-    slope_normalized: bool = True
 
     def __post_init__(self):
         if not self.mod_amp_v > 0.0:
@@ -214,8 +213,7 @@ def _expected_demod(state: EmitterState, target_ghz: float, cfg: LockInConfig,
 
 
 def calibrate_lockin(state: EmitterState, target_ghz: float,
-                     cfg: LockInConfig,
-                     curve: TuningCurve | None = None) -> LockInCalibration:
+                     cfg: LockInConfig, curve: TuningCurve) -> LockInCalibration:
     """Numeric calibration of the error-signal slope and zero offset.
 
     Evaluates the expected demodulated signal with the emitter placed on
@@ -223,7 +221,6 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     raw demodulated counts into a frequency error, exactly what a hardware
     lock-in calibration sweep would measure.
     """
-    curve = curve if curve is not None else TuningCurve(state.emitter, state.device)
     fwhm_ghz = effective_linewidth(state.emitter, curve.shift(state.dc_voltage)) / MHZ_PER_GHZ
     h = fwhm_ghz / 100.0
     on_res = replace(state, drift_ghz=target_ghz - curve.shift(state.dc_voltage))
@@ -237,9 +234,9 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
 
 
 def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
-                 rng: np.random.Generator | None = None,
-                 curve: TuningCurve | None = None,
-                 calibration: LockInCalibration | None = None) -> LockInResult:
+                 rng: np.random.Generator | None = None, *,
+                 curve: TuningCurve,
+                 calibration: LockInCalibration) -> LockInResult:
     """One gate-modulated probe: demodulated signed frequency error in GHz.
 
     Photon counts are accumulated in phase bins of the bias modulation and
@@ -249,7 +246,6 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     total counts flags the result invalid (the caller holds the last
     voltage).
     """
-    curve = curve if curve is not None else TuningCurve(state.emitter, state.device)
     sin, offsets_v, t_bin = _probe_table(cfg)
     expected = _modulated_rates(state, target_ghz, offsets_v, curve) * t_bin
     counts = expected if rng is None else rng.poisson(expected)
@@ -257,11 +253,6 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     demod = float(np.add.reduce(counts * sin))
     if total <= 0.0:
         return LockInResult(error_ghz=0.0, raw_demod=0.0, total_counts=0.0, valid=False)
-    if not cfg.slope_normalized:
-        return LockInResult(error_ghz=demod, raw_demod=demod,
-                            total_counts=total, valid=True)
-    if calibration is None:
-        calibration = calibrate_lockin(state, target_ghz, cfg, curve)
     if calibration.sensitivity == 0.0:
         return LockInResult(error_ghz=0.0, raw_demod=demod,
                             total_counts=total, valid=False)
@@ -271,28 +262,23 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
 
 
 def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
-             rng: np.random.Generator,
-             curve: TuningCurve | None = None,
-             advance=None) -> CRCheckResult:
+             rng: np.random.Generator, curve: TuningCurve) -> CRCheckResult:
     """Photon-count heralding probe at the target frequency.
 
     Pass when the counts collected during ``probe_duration_s`` reach the
-    threshold; otherwise retry up to ``max_attempts``, calling ``advance``
-    (if given) between attempts so each retry sees the newly drifted state.
+    threshold; otherwise probe the same state again, up to ``max_attempts``
+    times in all.
     """
-    curve = curve if curve is not None else TuningCurve(state.emitter, state.device)
+    shift = curve.shift(state.dc_voltage)
+    fwhm_ghz = effective_linewidth(state.emitter, shift) / MHZ_PER_GHZ
+    line = shift + state.drift_ghz
+    rate = (state.emitter.peak_rate * lorentzian_peak(target_ghz - line, fwhm_ghz)
+            + state.emitter.background_rate)
     counts = 0
     for attempt in range(1, cfg.max_attempts + 1):
-        shift = curve.shift(state.dc_voltage)
-        fwhm_ghz = effective_linewidth(state.emitter, shift) / MHZ_PER_GHZ
-        line = shift + state.drift_ghz
-        rate = (state.emitter.peak_rate * lorentzian_peak(target_ghz - line, fwhm_ghz)
-                + state.emitter.background_rate)
         counts = int(rng.poisson(rate * cfg.probe_duration_s))
         if counts >= cfg.photon_threshold:
             return CRCheckResult(passed=True, attempts=attempt, counts=counts)
-        if advance is not None and attempt < cfg.max_attempts:
-            advance(cfg.probe_duration_s)
     return CRCheckResult(passed=False, attempts=cfg.max_attempts, counts=counts)
 
 
@@ -306,6 +292,8 @@ def pid_update(state: PIDState, voltage: float, error_ghz: float,
     """
     if not dt_s > 0.0:
         raise InputError("dt_s must be > 0")
+    if not math.isfinite(error_ghz):
+        raise InputError(f"error_ghz must be finite, got {error_ghz}")
     # min/max give np.clip's value bit for bit (NaN and signed zeros included)
     state.integral = float(min(max(state.integral + error_ghz * dt_s,
                                    -cfg.integral_limit), cfg.integral_limit))
@@ -443,7 +431,7 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
         if stab.feedback:
             probe = lockin_error(state, target, lockin_cfg, rng=lockin_rng,
                                  curve=curve, calibration=calibration)
-            check = cr_check(state, target, cr_cfg, cr_rng, curve=curve)
+            check = cr_check(state, target, cr_cfg, cr_rng, curve)
             frame_cr = check.passed
             # The CR check heralds the resonance condition for the scans;
             # the bias update itself runs every frame the probe saw photons.

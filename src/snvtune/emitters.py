@@ -148,5 +148,3 @@ class TuningCurve:
         delta_u = np.sqrt(self._lam_u2 + self._c_u * s2)
         out = s * self._da1g - 0.5 * (delta_u - self._lam_u) + 0.5 * (delta_g - self._lam_g)
         return float(out) if v.ndim == 0 else out
-
-    __call__ = shift

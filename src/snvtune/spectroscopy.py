@@ -3,9 +3,8 @@
 Simulation side: resonant excitation of a Lorentzian line with
 strain-dependent broadening, photon counts drawn per detuning point from a
 Poisson law with a seeded generator.  Analysis side: profile fits
-(Lorentzian or pseudo-Voigt plus constant background), peak finding over PL
-spectra, and the empirical CDF / best-window statistic of an inhomogeneous
-resonance sample.
+(Lorentzian or pseudo-Voigt plus constant background) and the empirical
+CDF / best-window statistic of an inhomogeneous resonance sample.
 
 All detunings are in GHz relative to an emitter's unstrained C-transition
 frequency; linewidths are FWHM in MHz.
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import curve_fit
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
@@ -96,19 +94,6 @@ class FitResult:
     converged: bool
     background: float = 0.0
     eta: float | None = None  # pseudo-Voigt Lorentzian fraction, if fitted
-
-
-@dataclass(frozen=True)
-class InhomogeneousSample:
-    """Resonance frequencies collected over many excitation spots."""
-
-    resonances: np.ndarray
-    spot_count: int = 0
-    integration_time_s: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "resonances",
-                           np.asarray(self.resonances, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -287,27 +272,6 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
                      converged=bool(ok), background=float(bg), eta=eta)
 
 
-def find_peak_frequencies(frequencies, intensities, min_prominence: float,
-                          min_separation_ghz: float) -> np.ndarray:
-    """Local maxima above prominence/separation thresholds, ascending in GHz.
-
-    Peaks closer together than ``min_separation_ghz`` collapse to the
-    highest one.  An empty result is allowed.
-    """
-    f = np.asarray(frequencies, dtype=float)
-    y = np.asarray(intensities, dtype=float)
-    if f.size == 0:
-        raise InputError("spectrum is empty")
-    if f.size != y.size:
-        raise InputError("frequency and intensity arrays differ in length")
-    order = np.argsort(f)
-    f, y = f[order], y[order]
-    step = float(np.median(np.diff(f))) if f.size > 1 else 1.0
-    distance = max(1, int(np.ceil(min_separation_ghz / step)))
-    idx, _ = _scipy_find_peaks(y, prominence=min_prominence, distance=distance)
-    return f[idx]
-
-
 def empirical_cdf(values) -> tuple[np.ndarray, np.ndarray]:
     """Right-continuous empirical CDF: sorted values and F = i/n, ending at 1."""
     v = np.sort(np.asarray(values, dtype=float))
@@ -325,19 +289,17 @@ def best_window_fraction(values, window_ghz: float) -> tuple[float, float]:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InputError("empty sample")
-    if not window_ghz > 0.0:
-        raise InputError("window width must be > 0")
+    if not 0.0 < window_ghz < math.inf:
+        raise InputError("window width must be finite and > 0")
     hi = np.searchsorted(v, v + window_ghz, side="right")
     counts = hi - np.arange(v.size)
     best = int(np.argmax(counts))
     return float(counts[best]) / v.size, float(v[best])
 
 
-def cdf_and_window(sample: InhomogeneousSample, window_ghz: float) -> CdfResult:
-    """Empirical CDF of an inhomogeneous sample plus its best-window fraction."""
-    if sample.resonances.size == 0:
-        raise InputError("inhomogeneous sample is empty")
-    values, cdf = empirical_cdf(sample.resonances)
+def cdf_and_window(resonances, window_ghz: float) -> CdfResult:
+    """Empirical CDF of resonance frequencies plus their best-window fraction."""
+    values, cdf = empirical_cdf(resonances)
     fraction, start = best_window_fraction(values, window_ghz)
     return CdfResult(values=values, cdf=cdf, window_ghz=window_ghz,
                      best_fraction=fraction, best_window_start=start)

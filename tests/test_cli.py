@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
 import snvtune as st
+from snvtune import cli
 from snvtune.cli import derive_seed, main
 from snvtune.config import default_config_text, matched_sample_path, parse_config
 from snvtune.spectroscopy import scan_from_csv
@@ -87,6 +88,30 @@ class TestTuneCurve:
         run_cli("--out", tmp_path / "serial", "tune-curve", "--steps", "9")
         run_cli("--out", tmp_path / "par", "--jobs", "3", "tune-curve",
                 "--steps", "9")
+        assert ((tmp_path / "serial" / "tune_curve.csv").read_bytes()
+                == (tmp_path / "par" / "tune_curve.csv").read_bytes())
+
+    def test_jobs_pool_capped_at_task_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        run_cli("--out", tmp_path / "serial", "tune-curve", "--steps", "5")
+        run_cli("--out", tmp_path / "par", "--jobs", "64", "tune-curve",
+                "--steps", "5")
+        assert len(workers) == 1 and workers[0] <= 4
         assert ((tmp_path / "serial" / "tune_curve.csv").read_bytes()
                 == (tmp_path / "par" / "tune_curve.csv").read_bytes())
 
@@ -263,9 +288,11 @@ class TestMalformedArguments:
         ("stabilize", "--seeds", "1,-2"),
         ("--seed", "-5", "stabilize"),
         ("tune-curve", "--steps", "-1"),
+        ("tune-curve", "--v-max", "inf"),
         ("inhomo", "--input", "{bad_csv}"),
         ("inhomo", "--input", "{nan_csv}"),
         ("inhomo", "--input", "{missing}"),
+        ("inhomo", "--window", "inf"),
         ("--config", "{missing}", "tune-curve"),
         ("--config", "{bad_gain}", "tune-curve"),
         ("stabilize", "--duration", "inf"),

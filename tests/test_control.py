@@ -179,15 +179,9 @@ class TestLockInError:
         dark = replace(emitter, peak_rate=0.0, background_rate=0.0)
         probe = lockin_error(EmitterState(dark, device, v_op, 0.0), target,
                              cfg.control.lockin,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), curve=curve,
+                             calibration=cal)
         assert not probe.valid
-
-    def test_raw_mode_returns_demodulated_counts(self, lock_setup):
-        cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
-        raw_cfg = replace(cfg.control.lockin, slope_normalized=False)
-        probe = lockin_error(replace(state, drift_ghz=0.05), target, raw_cfg,
-                             curve=curve)
-        assert probe.error_ghz == probe.raw_demod
 
     def test_sampled_estimate_unbiased(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
@@ -220,7 +214,7 @@ class TestCRCheck:
         dark = replace(emitter, peak_rate=0.0, background_rate=0.0)
         check = cr_check(EmitterState(dark, device, v_op, 0.0), target,
                          replace(cfg.control.cr_check, max_attempts=3),
-                         np.random.default_rng(1))
+                         np.random.default_rng(1), curve)
         assert not check.passed
         assert check.attempts == 3
 
@@ -239,22 +233,41 @@ class TestCRCheck:
             assert lo <= hi + 0.05  # Monte-Carlo slack
         assert rates[0] > 0.99 and rates[-1] < 0.01
 
-    def test_advance_callback_reprobes_drifted_state(self, lock_setup):
+    def test_retries_reprobe_the_same_state(self, lock_setup):
+        # oracle: max_attempts=3 is three single probes of the unchanged
+        # state drawn from one rng stream, stopping at the first pass
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
         fwhm_ghz = effective_linewidth(emitter, target) / 1000.0
-        probe = replace(state, drift_ghz=5.0 * fwhm_ghz)  # initially way off
-        calls = []
+        # a single probe passes about a third of the time at this detuning
+        probe = replace(state, drift_ghz=0.8 * fwhm_ghz)
+        single = replace(cfg.control.cr_check, max_attempts=1)
+        triple = replace(cfg.control.cr_check, max_attempts=3)
+        seen = set()
+        for seed in range(200):
+            check = cr_check(probe, target, triple, np.random.default_rng(seed),
+                             curve)
+            rng = np.random.default_rng(seed)
+            singles = [cr_check(probe, target, single, rng, curve)
+                       for _ in range(3)]
+            first = next((i for i, s in enumerate(singles) if s.passed), 2)
+            assert check.passed == singles[first].passed
+            assert check.attempts == first + 1
+            assert check.counts == singles[first].counts
+            seen.add(check.attempts if check.passed else 0)
+        assert seen == {0, 1, 2, 3}
+        assert probe == replace(state, drift_ghz=0.8 * fwhm_ghz)
 
-        def advance(dt):
-            calls.append(dt)
-            probe.drift_ghz = 0.0  # drifts back on resonance
-
-        check = cr_check(probe, target,
-                         replace(cfg.control.cr_check, max_attempts=5),
-                         np.random.default_rng(2), curve=curve, advance=advance)
-        assert check.passed
-        assert check.attempts == 2
-        assert calls == [cfg.control.cr_check.probe_duration_s]
+    def test_probes_require_curve_and_calibration(self, lock_setup):
+        cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
+        with pytest.raises(TypeError):
+            calibrate_lockin(state, target, cfg.control.lockin)
+        with pytest.raises(TypeError):
+            lockin_error(state, target, cfg.control.lockin, calibration=cal)
+        with pytest.raises(TypeError):
+            lockin_error(state, target, cfg.control.lockin, curve=curve)
+        with pytest.raises(TypeError):
+            cr_check(state, target, cfg.control.cr_check,
+                     np.random.default_rng(0))
 
 
 class TestPIDUpdate:
@@ -321,13 +334,25 @@ class TestPIDUpdate:
         cfg = PIDConfig(kp=kp, ki=ki, kd=kd, output_min=lo, output_max=lo + width,
                         integral_limit=limit)
         state = PIDState(integral=integral, last_measurement=last)
+        if not math.isfinite(error):
+            with pytest.raises(st.InputError):
+                pid_update(state, voltage, error, cfg, dt)
+            assert state == PIDState(integral=integral, last_measurement=last)
+            return
         ref_integral, ref_out = self.np_clip_reference(state, voltage, error, cfg, dt)
         out = pid_update(state, voltage, error, cfg, dt)
         assert np.float64(out).tobytes() == np.float64(ref_out).tobytes()
         assert np.float64(state.integral).tobytes() == np.float64(ref_integral).tobytes()
-        if math.isfinite(error):
-            assert cfg.output_min <= out <= cfg.output_max
-            assert abs(state.integral) <= cfg.integral_limit
+        assert cfg.output_min <= out <= cfg.output_max
+        assert abs(state.integral) <= cfg.integral_limit
+
+    def test_rejected_nan_step_leaves_later_steps_exact(self):
+        cfg = PIDConfig(ki=0.1)
+        state = PIDState()
+        with pytest.raises(st.InputError):
+            pid_update(state, 40.0, math.nan, cfg, 0.2)
+        _, ref_out = self.np_clip_reference(PIDState(), 40.0, 0.3, cfg, 0.2)
+        assert pid_update(state, 40.0, 0.3, cfg, 0.2) == ref_out
 
     def test_linear_plant_convergence_with_shipped_gains(self, config):
         cfg = config.control.pid

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,67 +232,27 @@ class TestFitJacobians:
             assert len(calls) <= 30, shape
 
 
-class TestFindPeaks:
-    def test_single_clean_peak(self):
-        f = np.linspace(0, 100, 501)
-        y = 50.0 * np.exp(-0.5 * ((f - 42.0) / 1.5) ** 2)
-        peaks = st.find_peak_frequencies(f, y, min_prominence=10.0,
-                                         min_separation_ghz=5.0)
-        assert peaks.size == 1
-        assert abs(peaks[0] - 42.0) <= 0.2
-
-    def test_close_peaks_collapse_to_higher(self):
-        f = np.linspace(0, 100, 1001)
-        y = (40.0 * np.exp(-0.5 * ((f - 50.0) / 1.0) ** 2)
-             + 60.0 * np.exp(-0.5 * ((f - 52.5) / 1.0) ** 2))
-        peaks = st.find_peak_frequencies(f, y, min_prominence=10.0,
-                                         min_separation_ghz=5.0)
-        assert peaks.size == 1
-        assert abs(peaks[0] - 52.5) <= 0.3
-
-    def test_recall_on_synthetic_spot_corpus(self):
-        # 173 synthetic PL spots with known injected lines at SNR 10
-        rng = np.random.default_rng(173)
-        f = np.arange(484000.0, 484400.0, 0.4)
-        noise_sigma = 5.0
-        amplitude = 10.0 * noise_sigma
-        injected_total = 0
-        recovered = 0
-        for _ in range(173):
-            n_lines = rng.integers(1, 5)
-            centers = []
-            while len(centers) < n_lines:
-                c = rng.uniform(f[0] + 15.0, f[-1] - 15.0)
-                if all(abs(c - o) > 12.0 for o in centers):
-                    centers.append(c)
-            y = rng.normal(0.0, noise_sigma, f.size)
-            for c in centers:
-                width = rng.uniform(1.2, 2.5)
-                y += amplitude * np.exp(-0.5 * ((f - c) / width) ** 2)
-            found = st.find_peak_frequencies(f, y, min_prominence=5.0 * noise_sigma,
-                                             min_separation_ghz=6.0)
-            injected_total += n_lines
-            for c in centers:
-                if np.any(np.abs(found - c) <= 2.0):
-                    recovered += 1
-        assert recovered / injected_total >= 0.95
-
-    def test_empty_spectrum_rejected(self):
-        with pytest.raises(st.InputError):
-            st.find_peak_frequencies([], [], 1.0, 1.0)
+class TestImportCost:
+    def test_import_skips_scipy_signal_and_stats(self):
+        # scipy.signal pulls in scipy.stats, about half the package import time
+        code = ("import sys, snvtune; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+        env = dict(os.environ, PYTHONPATH=str(Path(st.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCdfAndWindow:
     def test_single_resonance(self):
-        sample = st.InhomogeneousSample(resonances=[484017.5])
-        result = st.cdf_and_window(sample, 40.0)
+        result = st.cdf_and_window([484017.5], 40.0)
         assert result.values.tolist() == [484017.5]
         assert result.cdf.tolist() == [1.0]
         assert result.best_fraction == 1.0
 
     def test_cdf_monotone_and_ends_at_one(self, rng):
-        sample = st.InhomogeneousSample(resonances=rng.normal(0, 30, 400))
-        result = st.cdf_and_window(sample, 40.0)
+        result = st.cdf_and_window(rng.normal(0, 30, 400), 40.0)
         assert np.all(np.diff(result.cdf) >= 0.0)
         assert result.cdf[-1] == 1.0
 
@@ -307,7 +271,7 @@ class TestCdfAndWindow:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(st.InputError):
-            st.cdf_and_window(st.InhomogeneousSample(resonances=[]), 40.0)
+            st.cdf_and_window([], 40.0)
 
     def test_window_contains_count_oracle(self, rng):
         # brute-force window maximization oracle on a small sample
