@@ -148,7 +148,6 @@ class EmitterState:
 @dataclass(frozen=True)
 class LockInResult:
     error_ghz: float
-    raw_demod: float
     total_counts: float
     valid: bool
 
@@ -252,13 +251,11 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     total = float(np.add.reduce(counts))
     demod = float(np.add.reduce(counts * sin))
     if total <= 0.0:
-        return LockInResult(error_ghz=0.0, raw_demod=0.0, total_counts=0.0, valid=False)
+        return LockInResult(error_ghz=0.0, total_counts=0.0, valid=False)
     if calibration.sensitivity == 0.0:
-        return LockInResult(error_ghz=0.0, raw_demod=demod,
-                            total_counts=total, valid=False)
+        return LockInResult(error_ghz=0.0, total_counts=total, valid=False)
     error = (demod - calibration.zero_offset) / calibration.sensitivity
-    return LockInResult(error_ghz=error, raw_demod=demod,
-                        total_counts=total, valid=True)
+    return LockInResult(error_ghz=error, total_counts=total, valid=True)
 
 
 def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,

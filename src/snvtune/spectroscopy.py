@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
@@ -27,6 +26,8 @@ from .errors import InputError
 
 MHZ_PER_GHZ = 1000.0
 _LN2 = np.log(2.0)
+# largest mean numpy's Poisson sampler accepts (numpy.random's POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 def lorentzian_peak(x, fwhm_ghz):
@@ -124,6 +125,8 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
 
     With ``rng`` (or ``seed``) given the counts are Poisson samples; without
     either the record carries the exact expected counts (noise-free mode).
+    Expected counts above what the Poisson sampler can draw are an input
+    error.
     """
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
@@ -132,6 +135,10 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
     if rng is None:
         counts = expected.copy()
     else:
+        if not np.all(expected <= _POISSON_LAM_MAX):
+            raise InputError(
+                f"dwell {dwell_s:g} s gives expected counts above the Poisson "
+                f"sampler's limit of {_POISSON_LAM_MAX:.3g} per point")
         counts = rng.poisson(expected).astype(np.int64)
     return ScanRecord(detunings=np.asarray(detunings, dtype=float), counts=counts,
                       dwell_s=dwell_s, bias_v=bias_v, seed=seed,
@@ -210,6 +217,67 @@ def _pseudo_voigt_jac(x, amp, center, fwhm, eta, bg):
     return jac
 
 
+_LM_MAX_EVALS = 200  # trial steps per pass before the solver gives up
+_LM_TOL = 1e-15      # stop once a step would lower the cost by less than this fraction
+
+
+class _FitFailed(Exception):
+    """The solver hit its evaluation cap or a non-finite cost."""
+
+
+def _least_squares(model, jac, x, y, w, p0, lo, hi):
+    """Bounded Levenberg-Marquardt minimum of ``sum((w * (model(x, *p) - y))**2)``.
+
+    Marquardt's diagonal damping of the normal equations (Moré, LNM 630,
+    1978) with Nielsen's gain-ratio update of the damping (Madsen, Nielsen
+    & Tingleff, 2004).  A parameter on a bound whose descent direction
+    points out of the box is held fixed for the step; the others move, and
+    the trial point is clipped into the box.  The solver stops when the
+    step predicts a cost decrease below ``_LM_TOL`` of the cost, so it
+    returns the least-squares optimum to rounding.  Returns the parameters
+    and the weighted normal matrix ``JᵀWJ`` there.  Raises
+    :class:`_FitFailed` at the evaluation cap or on a non-finite cost, and
+    ``LinAlgError`` on a singular system.
+    """
+    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    r = w * (model(x, *p) - y)
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise _FitFailed("non-finite cost")
+    lam, nu = 1e-3, 2.0
+    normal = None
+    for _ in range(_LM_MAX_EVALS):
+        if normal is None:
+            j = w[:, None] * jac(x, *p)
+            normal = j.T @ j
+            grad = j.T @ r
+            free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
+            a_free, g_free = normal[free][:, free], grad[free]
+            scale = a_free.diagonal()
+            damping = np.diag(scale)
+        step = np.linalg.solve(a_free + lam * damping, -g_free)
+        # decrease of the linearized cost ||r + J step||^2
+        predicted = float(step @ (lam * scale * step - g_free))
+        if predicted <= _LM_TOL * cost:
+            return p, normal
+        trial = p.copy()
+        trial[free] += step
+        trial = np.minimum(np.maximum(trial, lo), hi)
+        r_trial = w * (model(x, *trial) - y)
+        cost_trial = float(r_trial @ r_trial)
+        if not math.isfinite(cost_trial):
+            raise _FitFailed("non-finite cost")
+        gain = (cost - cost_trial) / predicted
+        if gain > 0.0:
+            p, r, cost, normal = trial, r_trial, cost_trial, None
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+    raise _FitFailed("evaluation cap")
+
+
 def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     """Nonlinear least-squares line fit with a constant background.
 
@@ -218,8 +286,9 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     (weighting by observed counts would bias the width low).  Pathological
     data yields ``converged=False`` instead of raising; fewer than 8 points
     or no signal above the background estimate is an input error.  Both
-    passes use the models' closed-form Jacobians rather than finite
-    differences.
+    passes run :func:`_least_squares` inside the parameter bounds with the
+    models' closed-form Jacobians; ``center_stderr`` comes from the inverse
+    of the weighted normal matrix at the optimum.
     """
     if shape not in ("lorentzian", "voigt"):
         raise InputError(f"unknown line shape {shape!r}")
@@ -242,22 +311,22 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     if shape == "lorentzian":
         model, jac = _lorentz_model, _lorentz_jac
         p0 = [amp0, c0, fwhm0, bg0]
-        bounds = ([0.0, x[0], step * 0.1, 0.0],
-                  [np.inf, x[-1], 4.0 * span, np.inf])
+        lo = np.array([0.0, x[0], step * 0.1, 0.0])
+        hi = np.array([np.inf, x[-1], 4.0 * span, np.inf])
     else:
         model, jac = _pseudo_voigt_model, _pseudo_voigt_jac
         p0 = [amp0, c0, fwhm0, 0.7, bg0]
-        bounds = ([0.0, x[0], step * 0.1, 0.0, 0.0],
-                  [np.inf, x[-1], 4.0 * span, 1.0, np.inf])
+        lo = np.array([0.0, x[0], step * 0.1, 0.0, 0.0])
+        hi = np.array([np.inf, x[-1], 4.0 * span, 1.0, np.inf])
 
     try:
-        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000,
-                            jac=jac)
-        sigma = np.sqrt(np.maximum(model(x, *popt), 1.0))
-        popt, pcov = curve_fit(model, x, y, p0=popt, sigma=sigma,
-                               absolute_sigma=True, bounds=bounds, maxfev=20000,
-                               jac=jac)
-    except (RuntimeError, ValueError):
+        # non-finite data surfaces as a non-finite cost, not as a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            popt, _ = _least_squares(model, jac, x, y, np.ones_like(y), p0, lo, hi)
+            w = 1.0 / np.sqrt(np.maximum(model(x, *popt), 1.0))
+            popt, normal = _least_squares(model, jac, x, y, w, popt, lo, hi)
+        pcov = np.linalg.inv(normal)  # absolute Poisson weights: no rescaling
+    except (_FitFailed, np.linalg.LinAlgError):
         return FitResult(center=c0, fwhm=fwhm0 * MHZ_PER_GHZ, amplitude=amp0,
                          center_stderr=np.inf, converged=False, background=bg0)
 

@@ -69,10 +69,6 @@ class StrainTensor:
             )
 
     @classmethod
-    def zero(cls, frame: Frame = Frame.LAB) -> "StrainTensor":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, frame=frame)
-
-    @classmethod
     def from_matrix(cls, m: np.ndarray, frame: Frame,
                     guard: float = DEFAULT_STRAIN_GUARD) -> "StrainTensor":
         m = np.asarray(m, dtype=float)

@@ -65,10 +65,11 @@ def central_difference_jacobian(fn, x, params, steps) -> np.ndarray:
 
 
 def fit_line_finite_difference(scan, shape):
-    """Two-pass line fit with scipy's default finite-difference Jacobian.
+    """Two-pass line fit with scipy's finite-difference Jacobian.
 
     Reference for ``fit_line``: the same starting guesses, bounds, Poisson
-    weights and convergence test, with the models written out here.
+    weights and convergence test, with the models written out here and
+    scipy's ``trf`` solver converged to tight tolerances.
     Returns ``(center, fwhm_mhz, center_stderr, converged)``.
     """
     def lorentz(x, amp, center, fwhm, bg):
@@ -96,11 +97,16 @@ def fit_line_finite_difference(scan, shape):
         model, p0 = pseudo_voigt, [amp0, c0, fwhm0, 0.7, bg0]
         bounds = ([0.0, x[0], step * 0.1, 0.0, 0.0],
                   [np.inf, x[-1], 4.0 * span, 1.0, np.inf])
+    # scipy's default tolerances (1e-8) stop short of the optimum by more
+    # than the comparison bounds; these converge it to rounding
+    tight = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
     try:
-        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
+        popt, _ = curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000,
+                            **tight)
         sigma = np.sqrt(np.maximum(model(x, *popt), 1.0))
         popt, pcov = curve_fit(model, x, y, p0=popt, sigma=sigma,
-                               absolute_sigma=True, bounds=bounds, maxfev=20000)
+                               absolute_sigma=True, bounds=bounds, maxfev=20000,
+                               **tight)
     except (RuntimeError, ValueError):
         return c0, fwhm0 * 1000.0, np.inf, False
     center, fwhm = popt[1], popt[2]

@@ -299,6 +299,7 @@ class TestMalformedArguments:
         ("ple", "--emitter", "axial_hinge", "--span", "nan"),
         ("ple", "--emitter", "axial_hinge", "--center", "nan"),
         ("ple", "--emitter", "axial_hinge", "--dwell", "inf"),
+        ("ple", "--emitter", "axial_hinge", "--dwell", "1e300"),
         ("ple", "--emitter", "axial_hinge", "--points", "0"),
         ("ple", "--emitter", "axial_hinge", "--points", "-1"),
         ("calibrate-pulse", "--bias", "nan"),

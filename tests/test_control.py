@@ -436,9 +436,9 @@ class TestRunStabilization:
 
     def test_golden_fit_digest(self, golden_log):
         # The fitted scan columns of the same run: a change to the fit's
-        # rounding moves only these.
+        # solver or rounding moves only these.
         assert self._digest(golden_log, ("scan_center_ghz", "scan_fwhm_mhz")) == (
-            "238ee05519649d2a6db3977b263571e6a403ddc9628e0a784cc10e9c94fdd5cb")
+            "10123c4b46c525b9cecf79ad3f8505b0753b859e9de40c937c3cc3109ae2dc66")
 
     def test_voltage_always_clamped(self, config, axial, device):
         pid = replace(config.control.pid, output_min=38.0, output_max=42.0)
