@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,10 @@ from .control import run_stabilization, summarize_log
 from .emitters import TuningCurve, shift_from_voltage_chain
 from .errors import (ConfigError, ContractError, DomainError, InputError,
                      RangeError)
-from .spectroscopy import (cdf_and_window, effective_linewidth,
+from .spectroscopy import (cdf_and_window, effective_linewidth, format_column,
                            sample_inhomogeneous, scan_to_csv, simulate_ple)
+# the writers keep the cli's own names, which bench/tracing.py wraps
+from .spectroscopy import write_csv as _write_csv, write_json as _write_json
 from .actuator import pulsed_resonance_offset
 
 
@@ -42,10 +44,6 @@ def derive_seed(master: int, *keys) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def _provenance(cfg: RunConfig, command: str, seed: int) -> list[str]:
     return [
         f"tool=snvtune {__version__}",
@@ -53,21 +51,6 @@ def _provenance(cfg: RunConfig, command: str, seed: int) -> list[str]:
         f"config_sha256={cfg.config_hash()}",
         f"seed={seed}",
     ]
-
-
-def _write_csv(path: Path, header_lines: list[str], columns: list[str],
-               rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def non_negative_int(text: str) -> int:
@@ -97,15 +80,13 @@ def _parallel_map(fn, tasks: list, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 # tune-curve
 
-def _tune_one(args) -> list[tuple]:
+def _tune_one(args) -> np.ndarray:
+    """Shift (GHz) and FWHM (MHz) rows of one emitter over the voltage grid."""
     cfg, name, voltages = args
     emitter = cfg.emitter(name)
-    rows = []
-    for v in voltages:
-        shift = shift_from_voltage_chain(emitter, cfg.device, v)
-        fwhm = effective_linewidth(emitter, shift)
-        rows.append((name, _fmt(v), _fmt(shift), _fmt(fwhm)))
-    return rows
+    shifts = np.array([shift_from_voltage_chain(emitter, cfg.device, v)
+                       for v in voltages])
+    return np.stack([shifts, effective_linewidth(emitter, shifts)])
 
 
 def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
@@ -118,11 +99,14 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     if ns.steps < 1:
         raise InputError("--steps must be >= 1")
     voltages = np.linspace(ns.v_min, v_max, ns.steps)
-    chunks = _parallel_map(_tune_one, [(cfg, n, voltages) for n in names], jobs)
-    rows = [row for chunk in chunks for row in chunk]
+    shift, fwhm = np.hstack(
+        _parallel_map(_tune_one, [(cfg, n, voltages) for n in names], jobs))
     path = out / "tune_curve.csv"
     _write_csv(path, _provenance(cfg, "tune-curve", seed),
-               ["emitter", "bias_V", "shift_GHz", "fwhm_MHz"], rows)
+               ["emitter", "bias_V", "shift_GHz", "fwhm_MHz"],
+               [[n for n in names for _ in range(ns.steps)],
+                format_column(voltages) * len(names),
+                format_column(shift), format_column(fwhm)])
     print(f"wrote {path}")
     return 0
 
@@ -217,7 +201,7 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     cdf_path = out / "inhomo_cdf.csv"
     _write_csv(cdf_path, _provenance(cfg, "inhomo", seed) + [f"source={origin}"],
                ["frequency_GHz", "cdf"],
-               [( _fmt(v), _fmt(c)) for v, c in zip(result.values, result.cdf)])
+               [format_column(result.values), format_column(result.cdf)])
     summary = {
         "n_resonances": int(result.values.size),
         "window_GHz": ns.window,
@@ -238,19 +222,8 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # stabilize
 
 def _stabilize_one(args) -> tuple[str, dict]:
-    cfg, ns_dict, out_str, run_seed = args
-    from dataclasses import asdict, replace
-    emitter = cfg.emitter(ns_dict["emitter"])
-    stab = cfg.control.stabilization
-    overrides = {}
-    if ns_dict["duration"] is not None:
-        overrides["duration_s"] = ns_dict["duration"]
-    if ns_dict["scans"] is not None:
-        overrides["n_scans"] = ns_dict["scans"]
-    if ns_dict["no_feedback"]:
-        overrides["feedback"] = False
-    if overrides:
-        stab = replace(stab, **overrides)
+    cfg, emitter_name, stab, out_str, run_seed = args
+    emitter = cfg.emitter(emitter_name)
     log = run_stabilization(emitter, cfg.device, cfg.control.drift,
                             cfg.control.lockin, cfg.control.pid,
                             cfg.control.cr_check, stab, run_seed)
@@ -273,19 +246,16 @@ def _stabilize_one(args) -> tuple[str, dict]:
     upd_path = out / f"stabilize_updates_{tag}.csv"
     _write_csv(upd_path, head,
                ["time_s", "dc_voltage_V", "error_GHz", "lockin_valid", "cr_pass"],
-               ((_fmt(t), _fmt(v), "" if np.isnan(e) else _fmt(e),
-                 int(val), int(cr))
-                for t, v, e, val, cr in zip(log.update_time_s, log.dc_voltage_v,
-                                            log.error_ghz, log.lockin_valid,
-                                            log.cr_pass)))
+               [format_column(log.update_time_s), format_column(log.dc_voltage_v),
+                format_column(log.error_ghz, blank_nan=True),
+                format_column(log.lockin_valid), format_column(log.cr_pass)])
     scan_path = out / f"stabilize_scans_{tag}.csv"
     _write_csv(scan_path, head,
                ["time_s", "fitted_center_GHz", "fitted_fwhm_MHz", "converged",
                 "true_center_GHz"],
-               ((_fmt(t), _fmt(c), _fmt(w), int(k), _fmt(tr))
-                for t, c, w, k, tr in zip(log.scan_time_s, log.scan_center_ghz,
-                                          log.scan_fwhm_mhz, log.scan_converged,
-                                          log.scan_true_center_ghz)))
+               [format_column(log.scan_time_s), format_column(log.scan_center_ghz),
+                format_column(log.scan_fwhm_mhz), format_column(log.scan_converged),
+                format_column(log.scan_true_center_ghz)])
     _write_json(out / f"stabilize_summary_{tag}.json", summary)
     return str(upd_path), summary
 
@@ -296,9 +266,11 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         run_seeds = _number_list(ns.seeds, non_negative_int, "--seeds")
     else:
         run_seeds = [seed]
-    ns_dict = {"emitter": ns.emitter, "duration": ns.duration,
-               "scans": ns.scans, "no_feedback": ns.no_feedback}
-    tasks = [(cfg, ns_dict, str(out), s) for s in run_seeds]
+    overrides = {"duration_s": ns.duration, "n_scans": ns.scans,
+                 "feedback": False if ns.no_feedback else None}
+    stab = replace(cfg.control.stabilization,
+                   **{k: v for k, v in overrides.items() if v is not None})
+    tasks = [(cfg, ns.emitter, stab, str(out), s) for s in run_seeds]
     for path, summary in _parallel_map(_stabilize_one, tasks, jobs):
         mode = "free-running" if ns.no_feedback else "feedback"
         print(f"wrote {path}")
@@ -321,15 +293,15 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> 
         raise RangeError(
             f"bias {bias} V outside [0, {cfg.device.calibration.v_max}] V")
     thermal = cfg.device.thermal
-    rows = []
-    for p in pulses:
-        for c in cooldowns:
-            offset = pulsed_resonance_offset(thermal, p, c, bias,
-                                             v_ref=cfg.device.calibration.v_ref)
-            rows.append((_fmt(p), _fmt(c), _fmt(offset), int(offset == 0.0)))
+    offsets = np.array([pulsed_resonance_offset(thermal, p, c, bias,
+                                                v_ref=cfg.device.calibration.v_ref)
+                        for p in pulses for c in cooldowns])
     path = out / "pulse_calibration.csv"
     _write_csv(path, _provenance(cfg, "calibrate-pulse", seed),
-               ["pulse_us", "cooldown_us", "offset_GHz", "safe"], rows)
+               ["pulse_us", "cooldown_us", "offset_GHz", "safe"],
+               [[cell for cell in format_column(pulses) for _ in cooldowns],
+                format_column(cooldowns) * len(pulses),
+                format_column(offsets), format_column(offsets == 0.0)])
     print(f"wrote {path}")
     return 0
 

@@ -16,6 +16,7 @@ observables depend only on eps_Egx^2 + eps_Egy^2.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,29 +95,38 @@ def defect_rotation(o: Orientation, in_plane_angle: float = 0.0) -> np.ndarray:
     return np.array([x, y, z])
 
 
+@lru_cache(maxsize=64)
 def lab_to_defect(o: Orientation, in_plane_angle: float = 0.0) -> np.ndarray:
-    """Combined rotation taking lab-frame components to the defect frame."""
-    return defect_rotation(o, in_plane_angle) @ lab_to_crystal()
-
-
-def _check_rotation(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ContractError("rotation matrix must be 3x3")
-    if not np.allclose(r @ r.T, np.eye(3), atol=1e-10):
-        raise ContractError("rotation matrix is not orthonormal")
-    if np.linalg.det(r) < 0.0:
-        raise ContractError("rotation matrix must be proper (det = +1)")
+    """Rotation taking lab-frame components to the defect frame; cached, read-only."""
+    r = defect_rotation(o, in_plane_angle) @ lab_to_crystal()
+    r.flags.writeable = False
     return r
+
+
+@lru_cache(maxsize=64)
+def _rotation_fault(key: bytes) -> str | None:
+    """Why the 3x3 float matrix with these bytes is no proper rotation, or None."""
+    r = np.frombuffer(key).reshape(3, 3)
+    if not np.allclose(r @ r.T, np.eye(3), atol=1e-10):
+        return "rotation matrix is not orthonormal"
+    if np.linalg.det(r) < 0.0:
+        return "rotation matrix must be proper (det = +1)"
+    return None
 
 
 def rotate_strain(eps: StrainTensor, r: np.ndarray,
                   target_frame: Frame) -> StrainTensor:
     """Similarity-transform a strain tensor, eps' = R eps R^T.
 
-    ``r`` must be a proper rotation; the result carries ``target_frame``.
+    ``r`` must be a proper rotation, a verdict cached on the matrix's content;
+    the result carries ``target_frame``.
     """
-    r = _check_rotation(r)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise ContractError("rotation matrix must be 3x3")
+    fault = _rotation_fault(r.tobytes())
+    if fault is not None:
+        raise ContractError(fault)
     m = r @ eps.as_matrix() @ r.T
     m = 0.5 * (m + m.T)  # scrub rounding asymmetry
     return StrainTensor(m[0, 0], m[1, 1], m[2, 2], m[1, 2], m[2, 0], m[0, 1],

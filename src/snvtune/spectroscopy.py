@@ -125,14 +125,17 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
 
     With ``rng`` (or ``seed``) given the counts are Poisson samples; without
     either the record carries the exact expected counts (noise-free mode).
-    Expected counts above what the Poisson sampler can draw are an input
-    error.
+    Expected counts above what the Poisson sampler can draw, or beyond the
+    float range in noise-free mode, are an input error.
     """
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
     rates = expected_rates(emitter, detunings, center_ghz + extra_offset_ghz, fwhm_mhz)
-    expected = rates * dwell_s
+    with np.errstate(over="ignore"):
+        expected = rates * dwell_s
     if rng is None:
+        if not np.isfinite(expected).all():
+            raise InputError(f"dwell {dwell_s:g} s overflows the expected counts")
         counts = expected.copy()
     else:
         if not np.all(expected <= _POISSON_LAM_MAX):
@@ -395,30 +398,46 @@ def sample_inhomogeneous(n: int, cluster_sigma_ghz: float,
 # ---------------------------------------------------------------------------
 # Serialization: CSV with a JSON metadata sidecar.
 
+def format_column(values, blank_nan: bool = False) -> list[str]:
+    """CSV cells of one column in a single pass: integers and flags as decimal
+    integers, other values as ``%.12g``; ``blank_nan`` leaves NaN cells empty."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return [str(int(c)) for c in values.tolist()]
+    floats = values.astype(float).tolist()
+    if blank_nan:
+        return ["" if x != x else "%.12g" % x for x in floats]
+    return list(map("%.12g".__mod__, floats))
+
+
+def write_csv(path: Path, header_lines: list[str], columns: list[str],
+              cells: list[list[str]]) -> None:
+    """``# `` header lines, column names, then rows from per-column ``cells``."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+
+
+def write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def scan_to_csv(scan: ScanRecord, path: str | Path,
                 header_lines: list[str] | None = None,
                 include_expected: bool = True) -> Path:
     """Write a scan as CSV (detuning_GHz, counts[, expected]) plus sidecar."""
     path = Path(path)
     counts_are_int = np.issubdtype(np.asarray(scan.counts).dtype, np.integer)
-    with_expected = include_expected and scan.expected is not None
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        cols = ["detuning_GHz", "counts"]
-        if with_expected:
-            cols.append("expected_counts")
-        writer.writerow(cols)
-        for i in range(scan.detunings.size):
-            row = [f"{scan.detunings[i]:.12g}"]
-            if counts_are_int:
-                row.append(str(int(scan.counts[i])))
-            else:
-                row.append(f"{float(scan.counts[i]):.12g}")
-            if with_expected:
-                row.append(f"{scan.expected[i]:.12g}")
-            writer.writerow(row)
+    columns = ["detuning_GHz", "counts"]
+    cells = [format_column(scan.detunings), format_column(scan.counts)]
+    if include_expected and scan.expected is not None:
+        columns.append("expected_counts")
+        cells.append(format_column(scan.expected))
+    write_csv(path, header_lines or [], columns, cells)
     meta = {
         "counts_kind": "int" if counts_are_int else "float",
         "dwell_s": scan.dwell_s,
@@ -427,9 +446,7 @@ def scan_to_csv(scan: ScanRecord, path: str | Path,
         "emitter": scan.emitter,
         "window_warning": scan.window_warning,
     }
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
     return path
 
 

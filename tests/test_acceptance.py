@@ -167,6 +167,7 @@ def test_criterion_07_free_running_calibration():
            ok, f"std {std:.3f} GHz over {centers.size} scans, {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_08_stabilization_ratio():
     t0 = time.perf_counter()
     threshold = 1.38 / 12.0

@@ -475,6 +475,7 @@ class TestRunStabilization:
         assert len(centers) == 30
         assert np.std(centers, ddof=1) <= 2.0 * sigma_cr
 
+    @pytest.mark.slow
     def test_closed_loop_beats_open_loop_paired_seeds(self, config, axial, device):
         drift = config.control.drift
         assert drift.stationary_std_ghz > 10.0 * 0.005  # well above shot noise

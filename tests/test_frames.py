@@ -93,6 +93,41 @@ class TestRotateStrain:
         with pytest.raises(st.ContractError):
             st.rotate_strain(eps, -np.eye(3), Frame.CRYSTAL)  # improper
 
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 1.0, 2.0]), -np.eye(3)],
+                             ids=["non_orthonormal", "improper"])
+    def test_rejects_the_same_bad_matrix_on_every_call(self, bad):
+        eps = StrainTensor(1e-4, 0, 0, 0, 0, 0, frame=Frame.LAB)
+        for _ in range(3):
+            with pytest.raises(st.ContractError):
+                st.rotate_strain(eps, bad, Frame.CRYSTAL)
+
+    def test_matrix_mutated_after_passing_is_checked_again(self, rng):
+        eps = StrainTensor(1e-4, 0, 0, 0, 0, 0, frame=Frame.LAB)
+        r = random_rotation(rng)
+        st.rotate_strain(eps, r, Frame.CRYSTAL)
+        r[2] *= -1.0  # now improper
+        with pytest.raises(st.ContractError, match="proper"):
+            st.rotate_strain(eps, r, Frame.CRYSTAL)
+        r[2, 2] += 0.5  # now not orthonormal either
+        with pytest.raises(st.ContractError, match="orthonormal"):
+            st.rotate_strain(eps, r, Frame.CRYSTAL)
+
+
+class TestLabToDefectCache:
+    @pytest.mark.parametrize("o", ALL)
+    def test_repeat_calls_share_one_read_only_array(self, o):
+        r = st.lab_to_defect(o)
+        assert st.lab_to_defect(o) is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 0.0
+
+    @pytest.mark.parametrize("angle", [0.0, 2.0 * np.pi / 3.0, 0.3])
+    @pytest.mark.parametrize("o", ALL)
+    def test_equals_defect_rotation_times_lab_to_crystal_bit_for_bit(self, o, angle):
+        expected = st.defect_rotation(o, angle) @ st.lab_to_crystal()
+        assert st.lab_to_defect(o, angle).tobytes() == expected.tobytes()
+
 
 class TestClassification:
     def test_111_is_axial(self):

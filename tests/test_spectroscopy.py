@@ -13,8 +13,8 @@ from hypothesis import strategies as hyp
 import snvtune as st
 from snvtune import spectroscopy
 from snvtune.spectroscopy import (best_window_fraction, empirical_cdf,
-                                  sample_inhomogeneous, sample_scan,
-                                  scan_from_csv, scan_to_csv)
+                                  format_column, sample_inhomogeneous,
+                                  sample_scan, scan_from_csv, scan_to_csv)
 
 from oracles import (central_difference_jacobian, fisher_center_sigma,
                      fit_line_finite_difference)
@@ -86,6 +86,13 @@ class TestSimulatePle:
         scan2 = st.simulate_ple(axial, device, device.calibration.v_max, det2,
                                 0.005, seed=1)
         assert not scan2.window_warning
+
+
+class TestNoiseFreeOverflow:
+    def test_non_finite_expected_counts_are_an_input_error(self, axial):
+        det = np.linspace(-1.0, 1.0, 11)
+        with pytest.raises(st.InputError, match="overflows"):
+            sample_scan(axial, det, 0.0, 150.0, 1e308, 0.0, rng=None)
 
 
 class TestFitLine:
@@ -446,6 +453,41 @@ class TestSerialization:
         scan_to_csv(scan, path)
         (tmp_path / "scan.csv.meta.json").unlink()
         assert scan_from_csv(path).counts.dtype == np.int64
+
+
+class TestFormatColumn:
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf,
+                   np.nan, 0.1, 1e-5, 123456789012.5, 1.0 / 3.0]
+
+    @staticmethod
+    def reference(x) -> str:
+        return f"{float(x):.12g}"
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=hyp.lists(hyp.floats(allow_nan=True, allow_infinity=True,
+                                       allow_subnormal=True), max_size=40))
+    def test_matches_per_value_format_for_python_floats(self, values):
+        values = values + self.EDGE_FLOATS
+        assert format_column(values) == [self.reference(x) for x in values]
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=hyp.lists(hyp.floats(allow_nan=True, allow_infinity=True,
+                                       allow_subnormal=True), max_size=40))
+    def test_matches_per_value_format_for_float64_arrays(self, values):
+        arr = np.array(values + self.EDGE_FLOATS, dtype=np.float64)
+        assert format_column(arr) == [self.reference(x) for x in arr]
+        assert format_column(arr, blank_nan=True) == [
+            "" if np.isnan(x) else self.reference(x) for x in arr]
+
+    @settings(deadline=None, max_examples=200)
+    @given(counts=hyp.lists(hyp.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
+    def test_int64_counts_print_as_integers(self, counts):
+        arr = np.array(counts + [0, -1, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)
+        assert format_column(arr) == [str(int(c)) for c in arr]
+
+    def test_flags_print_as_zero_and_one(self):
+        assert format_column(np.array([True, False, True])) == ["1", "0", "1"]
 
 
 class TestScanRecordInvariants:
