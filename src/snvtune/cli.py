@@ -253,8 +253,10 @@ def _stabilize_one(args) -> tuple[str, dict]:
     _write_csv(scan_path, head,
                ["time_s", "fitted_center_GHz", "fitted_fwhm_MHz", "converged",
                 "true_center_GHz"],
-               [format_column(log.scan_time_s), format_column(log.scan_center_ghz),
-                format_column(log.scan_fwhm_mhz), format_column(log.scan_converged),
+               [format_column(log.scan_time_s),
+                format_column(log.scan_center_ghz, blank_nan=True),
+                format_column(log.scan_fwhm_mhz, blank_nan=True),
+                format_column(log.scan_converged),
                 format_column(log.scan_true_center_ghz)])
     _write_json(out / f"stabilize_summary_{tag}.json", summary)
     return str(upd_path), summary

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,16 +65,32 @@ class DriftProcess:
         """Advance the state by ``dt_s`` and return the new offset in GHz."""
         if not dt_s > 0.0:
             raise InputError("dt_s must be > 0")
-        decay = math.exp(-dt_s / self.ou_tau_s)
-        new = self.state_ghz * decay
-        if self.ou_sigma_ghz > 0.0:
-            new += rng.normal(0.0, self.ou_sigma_ghz * math.sqrt(1.0 - decay * decay))
-        if self.jump_rate_hz > 0.0 and self.jump_sigma_ghz > 0.0:
-            n_jumps = rng.poisson(self.jump_rate_hz * dt_s)
-            if n_jumps:
-                new += float(np.sum(rng.normal(0.0, self.jump_sigma_ghz, n_jumps)))
-        self.state_ghz = float(new)
+        self.state_ghz = _drift_advance(self.state_ghz, rng, *self._step_terms(dt_s))
         return self.state_ghz
+
+    def _step_terms(self, dt_s: float) -> tuple:
+        """Constants of one step of ``dt_s``: OU decay, OU noise std (None
+        without OU noise), mean jump count and jump std (None without jumps)."""
+        decay = math.exp(-dt_s / self.ou_tau_s)
+        noise_std = (self.ou_sigma_ghz * math.sqrt(1.0 - decay * decay)
+                     if self.ou_sigma_ghz > 0.0 else None)
+        jumps = self.jump_rate_hz > 0.0 and self.jump_sigma_ghz > 0.0
+        return (decay, noise_std, self.jump_rate_hz * dt_s if jumps else None,
+                self.jump_sigma_ghz)
+
+
+def _drift_advance(x: float, rng: np.random.Generator, decay: float,
+                   noise_std: float | None, jump_mean: float | None,
+                   jump_std: float) -> float:
+    """One drift step from offset ``x`` with :meth:`DriftProcess._step_terms`."""
+    x = x * decay
+    if noise_std is not None:
+        x += rng.normal(0.0, noise_std)
+    if jump_mean is not None:
+        n_jumps = rng.poisson(jump_mean)
+        if n_jumps:
+            x += float(np.sum(rng.normal(0.0, jump_std, n_jumps)))
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -180,13 +196,53 @@ def _probe_table(cfg: LockInConfig) -> tuple[np.ndarray, np.ndarray, float]:
     return sin, offsets_v, cfg.probe_duration_s / n
 
 
-def _modulated_rates(state: EmitterState, target_ghz: float,
-                     offsets_v: np.ndarray, curve: TuningCurve) -> np.ndarray:
-    """Expected count rate per phase bin under bias modulation."""
-    line = curve.shift(state.dc_voltage + offsets_v) + state.drift_ghz
-    fwhm_ghz = effective_linewidth(state.emitter, curve.shift(state.dc_voltage)) / MHZ_PER_GHZ
-    shape = lorentzian_peak(target_ghz - line, fwhm_ghz)
-    return state.emitter.peak_rate * shape + state.emitter.background_rate
+def _linewidth_ghz(emitter: EmitterModel, shift_ghz: float) -> float:
+    return effective_linewidth(emitter, shift_ghz) / MHZ_PER_GHZ
+
+
+def _count_rate(peak, background, detuning_ghz, fwhm_ghz):
+    """Count rate of a line ``detuning_ghz`` away from the probe frequency.
+
+    Scalar for the CR check, per phase bin for the lock-in probe.
+    """
+    return peak * lorentzian_peak(detuning_ghz, fwhm_ghz) + background
+
+
+class _LockIn:
+    """Per-run constants of the gate-modulated probe of one emitter.
+
+    Holds the tuning curve's array path with its row constants, the probe
+    table and the emitter's rates and bin time as 0-d arrays, so a probe
+    costs only its ufunc calls.
+    """
+
+    __slots__ = ("_shift", "_consts", "_offsets_v", "_weights", "_peak",
+                 "_background", "_t_bin")
+
+    def __init__(self, emitter: EmitterModel, curve: TuningCurve, cfg: LockInConfig):
+        sin, offsets_v, t_bin = _probe_table(cfg)
+        self._shift = curve._shift_rows
+        self._consts = curve._row_constants(sin.size)
+        self._offsets_v = np.stack([offsets_v, offsets_v])
+        self._weights = np.stack([np.ones_like(sin), sin])
+        self._peak = np.asarray(float(emitter.peak_rate))
+        self._background = np.asarray(float(emitter.background_rate))
+        self._t_bin = np.asarray(t_bin)
+
+    def expected(self, dc_voltage: float, drift_ghz: float, target_ghz,
+                 fwhm_ghz: float) -> np.ndarray:
+        """Expected counts per phase bin under bias modulation.
+
+        ``fwhm_ghz`` is the linewidth at the DC bias, which the caller shares
+        with the CR check.
+        """
+        line = self._shift(dc_voltage + self._offsets_v, self._consts) + drift_ghz
+        return _count_rate(self._peak, self._background, target_ghz - line,
+                           fwhm_ghz) * self._t_bin
+
+    def demodulate(self, counts) -> list[float]:
+        """Total counts and first-harmonic (sin-weighted) sum of one probe."""
+        return np.add.reduce(counts * self._weights, axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -203,12 +259,9 @@ class LockInCalibration:
     sensitivity: float
     zero_offset: float
 
-
-def _expected_demod(state: EmitterState, target_ghz: float, cfg: LockInConfig,
-                    curve: TuningCurve) -> float:
-    sin, offsets_v, t_bin = _probe_table(cfg)
-    rates = _modulated_rates(state, target_ghz, offsets_v, curve)
-    return float(np.add.reduce(rates * t_bin * sin))
+    def error(self, demod: float) -> float:
+        """Signed frequency error in GHz of a demodulated signal."""
+        return (demod - self.zero_offset) / self.sensitivity
 
 
 def calibrate_lockin(state: EmitterState, target_ghz: float,
@@ -220,14 +273,17 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     raw demodulated counts into a frequency error, exactly what a hardware
     lock-in calibration sweep would measure.
     """
-    fwhm_ghz = effective_linewidth(state.emitter, curve.shift(state.dc_voltage)) / MHZ_PER_GHZ
+    lockin = _LockIn(state.emitter, curve, cfg)
+    shift = curve.shift(state.dc_voltage)
+    fwhm_ghz = _linewidth_ghz(state.emitter, shift)
     h = fwhm_ghz / 100.0
-    on_res = replace(state, drift_ghz=target_ghz - curve.shift(state.dc_voltage))
-    zero = _expected_demod(on_res, target_ghz, cfg, curve)
-    plus = _expected_demod(replace(on_res, drift_ghz=on_res.drift_ghz + h),
-                           target_ghz, cfg, curve)
-    minus = _expected_demod(replace(on_res, drift_ghz=on_res.drift_ghz - h),
-                            target_ghz, cfg, curve)
+    on_res = target_ghz - shift
+
+    def demod(drift_ghz):
+        return lockin.demodulate(lockin.expected(state.dc_voltage, drift_ghz,
+                                                 target_ghz, fwhm_ghz))[1]
+
+    zero, plus, minus = demod(on_res), demod(on_res + h), demod(on_res - h)
     return LockInCalibration(sensitivity=(plus - minus) / (2.0 * h),
                              zero_offset=zero)
 
@@ -245,17 +301,14 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     total counts flags the result invalid (the caller holds the last
     voltage).
     """
-    sin, offsets_v, t_bin = _probe_table(cfg)
-    expected = _modulated_rates(state, target_ghz, offsets_v, curve) * t_bin
-    counts = expected if rng is None else rng.poisson(expected)
-    total = float(np.add.reduce(counts))
-    demod = float(np.add.reduce(counts * sin))
-    if total <= 0.0:
-        return LockInResult(error_ghz=0.0, total_counts=0.0, valid=False)
-    if calibration.sensitivity == 0.0:
+    fwhm_ghz = _linewidth_ghz(state.emitter, curve.shift(state.dc_voltage))
+    lockin = _LockIn(state.emitter, curve, cfg)
+    expected = lockin.expected(state.dc_voltage, state.drift_ghz, target_ghz, fwhm_ghz)
+    total, demod = lockin.demodulate(expected if rng is None else rng.poisson(expected))
+    if total <= 0.0 or calibration.sensitivity == 0.0:
         return LockInResult(error_ghz=0.0, total_counts=total, valid=False)
-    error = (demod - calibration.zero_offset) / calibration.sensitivity
-    return LockInResult(error_ghz=error, total_counts=total, valid=True)
+    return LockInResult(error_ghz=calibration.error(demod), total_counts=total,
+                        valid=True)
 
 
 def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
@@ -266,17 +319,24 @@ def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
     threshold; otherwise probe the same state again, up to ``max_attempts``
     times in all.
     """
+    emitter = state.emitter
     shift = curve.shift(state.dc_voltage)
-    fwhm_ghz = effective_linewidth(state.emitter, shift) / MHZ_PER_GHZ
-    line = shift + state.drift_ghz
-    rate = (state.emitter.peak_rate * lorentzian_peak(target_ghz - line, fwhm_ghz)
-            + state.emitter.background_rate)
+    rate = _count_rate(emitter.peak_rate, emitter.background_rate,
+                       target_ghz - (shift + state.drift_ghz),
+                       _linewidth_ghz(emitter, shift))
+    return CRCheckResult(*_cr_probe(rate, cfg, rng))
+
+
+def _cr_probe(rate: float, cfg: CRCheckConfig,
+              rng: np.random.Generator) -> tuple[bool, int, int]:
+    """(passed, attempts, counts) of a CR check at count rate ``rate``."""
+    mean = rate * cfg.probe_duration_s
     counts = 0
     for attempt in range(1, cfg.max_attempts + 1):
-        counts = int(rng.poisson(rate * cfg.probe_duration_s))
+        counts = int(rng.poisson(mean))
         if counts >= cfg.photon_threshold:
-            return CRCheckResult(passed=True, attempts=attempt, counts=counts)
-    return CRCheckResult(passed=False, attempts=cfg.max_attempts, counts=counts)
+            return True, attempt, counts
+    return False, cfg.max_attempts, counts
 
 
 def pid_update(state: PIDState, voltage: float, error_ghz: float,
@@ -357,10 +417,18 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     """Run the gate-modulated, CR-checked stabilization loop.
 
     Each frame: step the drift, probe the lock-in error, run the CR check,
-    and (feedback on, probe valid, CR passed) update the DC bias.  PLE scans
-    are taken at ``n_scans`` evenly spaced epochs; with feedback they wait
-    for the first CR-passing frame at or after the epoch, without feedback
-    they run unconditionally at the epoch.  Deterministic given the seed.
+    and (feedback on, probe saw photons) update the DC bias.  PLE scans are
+    taken at ``n_scans`` evenly spaced epochs; with feedback they wait for
+    the first CR-passing frame at or after the epoch, without feedback they
+    run unconditionally at the epoch.  A scan whose fit finds no line above
+    the background is recorded unconverged, with NaN center and width.
+    Deterministic given the seed.
+
+    The frame loop makes the draws and float operations of
+    :meth:`DriftProcess.step`, :func:`lockin_error` and :func:`cr_check` in
+    their order, through the private helpers those call, with every per-run
+    constant built before the loop: one frame computes ``shift(dc)`` and the
+    linewidth once for both probes and builds no per-frame objects.
     """
     curve = TuningCurve(emitter, device)
     dt = 1.0 / pid_cfg.update_rate_hz
@@ -376,7 +444,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             f"sit inside the actuator range [0, {cal.v_max}] V")
     if not (pid_cfg.output_min <= stab.operating_voltage <= pid_cfg.output_max):
         raise ConfigError("operating_voltage outside the PID output range")
-    if stab.operating_voltage + lockin_cfg.mod_amp_v > cal.v_max:
+    # the PID may drive the bias anywhere up to output_max
+    if pid_cfg.output_max + lockin_cfg.mod_amp_v > cal.v_max:
         raise ConfigError("bias modulation would exceed the actuator voltage limit")
 
     target = stab.target_ghz
@@ -393,70 +462,79 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     ss = np.random.SeedSequence(seed)
     drift_rng, lockin_rng, cr_rng, scan_rng = (np.random.default_rng(c)
                                                for c in ss.spawn(4))
-    drift = replace(drift)  # private copy; caller's state is untouched
 
-    state = EmitterState(emitter=emitter, device=device,
-                         dc_voltage=float(stab.operating_voltage),
-                         drift_ghz=drift.state_ghz)
-    calibration = None
-    if stab.feedback:
-        calibration = calibrate_lockin(state, target, lockin_cfg, curve)
+    feedback = stab.feedback
+    dc = float(stab.operating_voltage)
+    x = drift.state_ghz  # drift offset; the caller's process is untouched
+    if feedback:
+        calibration = calibrate_lockin(EmitterState(emitter, device, dc, x),
+                                       target, lockin_cfg, curve)
         if abs(calibration.sensitivity) < 1e-12:
             raise ConfigError(
                 "lock-in sensitivity vanishes at the operating point; "
                 "increase the operating voltage or modulation amplitude")
+        lockin = _LockIn(emitter, curve, lockin_cfg)
+        expected, demodulate = lockin.expected, lockin.demodulate
+        poisson, error_of = lockin_rng.poisson, calibration.error
+        shift, target_0d = curve.shift, np.asarray(target)
+        peak, background = emitter.peak_rate, emitter.background_rate
+        pid_state = PIDState()
+    drift_terms = drift._step_terms(dt)
 
-    scan_epochs = stab.duration_s * (np.arange(1, stab.n_scans + 1) / stab.n_scans)
+    t_arr = np.arange(1, n_frames + 1) * dt
+    epochs = stab.duration_s * (np.arange(1, stab.n_scans + 1) / stab.n_scans)
+    # first frame at or after each epoch (within half a frame), then a
+    # sentinel no frame reaches
+    scan_due = np.searchsorted(t_arr, epochs - 0.5 * dt).tolist() + [n_frames]
     half = 0.5 * stab.scan_span_ghz
     scan_grid = target + np.linspace(-half, half, stab.scan_points)
 
-    t_arr = np.empty(n_frames)
-    v_arr = np.empty(n_frames)
+    v_arr = np.full(n_frames, dc)
     e_arr = np.full(n_frames, np.nan)
-    valid_arr = np.zeros(n_frames, dtype=bool)
     cr_arr = np.zeros(n_frames, dtype=bool)
     s_time, s_center, s_fwhm, s_conv, s_true = [], [], [], [], []
     scans: list[ScanRecord] = []
-    pid_state = PIDState()
-    next_scan = 0
+    next_scan, due = 0, scan_due[0]
 
     for i in range(n_frames):
-        t = (i + 1) * dt
-        drift.step(dt, drift_rng)
-        state.drift_ghz = drift.state_ghz
-        frame_cr = False
-        if stab.feedback:
-            probe = lockin_error(state, target, lockin_cfg, rng=lockin_rng,
-                                 curve=curve, calibration=calibration)
-            check = cr_check(state, target, cr_cfg, cr_rng, curve)
-            frame_cr = check.passed
+        x = _drift_advance(x, drift_rng, *drift_terms)
+        passed = False
+        if feedback:
+            shift_dc = shift(dc)
+            fwhm_ghz = _linewidth_ghz(emitter, shift_dc)
+            total, demod = demodulate(poisson(expected(dc, x, target_0d, fwhm_ghz)))
+            passed = _cr_probe(_count_rate(peak, background, target - (shift_dc + x),
+                                           fwhm_ghz), cr_cfg, cr_rng)[0]
             # The CR check heralds the resonance condition for the scans;
             # the bias update itself runs every frame the probe saw photons.
-            if probe.valid:
-                state.dc_voltage = pid_update(pid_state, state.dc_voltage,
-                                              probe.error_ghz, pid_cfg, dt)
-            e_arr[i] = probe.error_ghz if probe.valid else np.nan
-            valid_arr[i] = probe.valid
-        t_arr[i] = t
-        v_arr[i] = state.dc_voltage
-        cr_arr[i] = frame_cr
+            if total > 0.0:
+                error = error_of(demod)
+                dc = pid_update(pid_state, dc, error, pid_cfg, dt)
+                e_arr[i] = error
+            v_arr[i] = dc
+            cr_arr[i] = passed
 
-        if next_scan < stab.n_scans and t >= scan_epochs[next_scan] - 0.5 * dt:
-            if stab.feedback and not frame_cr:
+        if i >= due:
+            if feedback and not passed:
                 continue  # wait for the next CR-passing frame
-            shift_now = float(curve.shift(state.dc_voltage))
+            shift_now = float(curve.shift(dc))
             fwhm_now = effective_linewidth(emitter, shift_now)
             scan = sample_scan(emitter, scan_grid, shift_now, fwhm_now,
-                               stab.scan_dwell_s, state.dc_voltage,
-                               rng=scan_rng, extra_offset_ghz=state.drift_ghz)
-            fit = fit_line(scan, stab.scan_shape)
-            s_time.append(t)
-            s_center.append(fit.center)
-            s_fwhm.append(fit.fwhm)
-            s_conv.append(fit.converged)
-            s_true.append(shift_now + state.drift_ghz)
+                               stab.scan_dwell_s, dc, rng=scan_rng,
+                               extra_offset_ghz=x)
+            try:
+                fit = fit_line(scan, stab.scan_shape)
+                center, fwhm, converged = fit.center, fit.fwhm, fit.converged
+            except InputError:  # no line above the background
+                center, fwhm, converged = math.nan, math.nan, False
+            s_time.append((i + 1) * dt)
+            s_center.append(center)
+            s_fwhm.append(fwhm)
+            s_conv.append(converged)
+            s_true.append(shift_now + x)
             scans.append(scan)
             next_scan += 1
+            due = scan_due[next_scan]
 
     meta = {
         "seed": seed,
@@ -470,7 +548,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     }
     return FeedbackLog(
         update_time_s=t_arr, dc_voltage_v=v_arr, error_ghz=e_arr,
-        lockin_valid=valid_arr, cr_pass=cr_arr,
+        # pid_update accepts only a finite error, and an invalid probe's is NaN
+        lockin_valid=~np.isnan(e_arr), cr_pass=cr_arr,
         scan_time_s=np.asarray(s_time), scan_center_ghz=np.asarray(s_center),
         scan_fwhm_mhz=np.asarray(s_fwhm),
         scan_converged=np.asarray(s_conv, dtype=bool),

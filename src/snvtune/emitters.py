@@ -92,6 +92,9 @@ def shift_from_voltage_chain(emitter: EmitterModel, device: DeviceModel,
     return level_response_at(emitter, device, v).nu_c - emitter.nu0
 
 
+_HALF = np.asarray(0.5)
+
+
 class TuningCurve:
     """Precomputed voltage-to-C-shift map for one emitter on one device.
 
@@ -125,6 +128,7 @@ class TuningCurve:
         self._lam_u = float(emitter.spin_orbit.lambda_u)
         self._lam_g2 = self._lam_g ** 2
         self._lam_u2 = self._lam_u ** 2
+        self._columns = None  # array-path operands, built on first use
 
     def shift(self, v):
         """C-transition shift in GHz for voltage ``v`` (vectorized).
@@ -142,9 +146,36 @@ class TuningCurve:
             return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
                     + 0.5 * (delta_g - self._lam_g))
         v = np.asarray(v, dtype=float)
-        s = self._scale_per_v2 * (v * v)
-        s2 = s * s
-        delta_g = np.sqrt(self._lam_g2 + self._c_g * s2)
-        delta_u = np.sqrt(self._lam_u2 + self._c_u * s2)
-        out = s * self._da1g - 0.5 * (delta_u - self._lam_u) + 0.5 * (delta_g - self._lam_g)
+        out = self._shift_rows(v.reshape(1, -1), self._array_operands()).reshape(v.shape)
         return float(out) if v.ndim == 0 else out
+
+    def _array_operands(self) -> tuple[np.ndarray, ...]:
+        """Operands of the array path: the strain scale and A1g coefficient as
+        0-d arrays, which ufuncs take faster than Python floats, then the
+        per-manifold constants as (2, 1) columns, ground manifold in row 0
+        and excited in row 1, so one sqrt serves both."""
+        if self._columns is None:
+            self._columns = (np.asarray(self._scale_per_v2), np.asarray(self._da1g),
+                             *np.array([[[self._c_g], [self._c_u]],
+                                        [[self._lam_g2], [self._lam_u2]],
+                                        [[self._lam_g], [self._lam_u]]]))
+        return self._columns
+
+    def _row_constants(self, n: int) -> tuple[np.ndarray, ...]:
+        """:meth:`_array_operands` with the columns repeated to (2, ``n``)
+        arrays, so a frame-rate caller of a fixed length skips numpy's
+        broadcasting."""
+        scale, da1g, *cols = self._array_operands()
+        return (scale, da1g, *(np.repeat(col, n, axis=1) for col in cols))
+
+    def _shift_rows(self, v_rows: np.ndarray, consts: tuple) -> np.ndarray:
+        """Array path of :meth:`shift` for n voltages.
+
+        ``v_rows`` is (1, n) with :meth:`_array_operands`, or (2, n)
+        holding the voltages in both rows with :meth:`_row_constants` ``(n)``.
+        Each element sees the scalar path's operations in the same order.
+        """
+        scale, da1g, c, lam2, lam = consts
+        s = scale * (v_rows * v_rows)
+        half = _HALF * (np.sqrt(lam2 + c * (s * s)) - lam)
+        return s[0] * da1g - half[1] + half[0]

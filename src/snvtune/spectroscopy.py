@@ -28,6 +28,8 @@ MHZ_PER_GHZ = 1000.0
 _LN2 = np.log(2.0)
 # largest mean numpy's Poisson sampler accepts (numpy.random's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+# 0-d operands: ufuncs take them faster than Python floats
+_ONE, _TWO = np.asarray(1.0), np.asarray(2.0)
 
 
 def lorentzian_peak(x, fwhm_ghz):
@@ -43,7 +45,7 @@ def lorentzian_peak(x, fwhm_ghz):
         except OverflowError:  # numpy returns inf here
             y2 = math.inf
         return 1.0 / (1.0 + y2)
-    return 1.0 / (1.0 + (2.0 * np.asarray(x, dtype=float) / fwhm_ghz) ** 2)
+    return _ONE / (_ONE + (_TWO * np.asarray(x, dtype=float) / fwhm_ghz) ** 2)
 
 
 def effective_linewidth(emitter: EmitterModel, shift_ghz: float) -> float:

@@ -5,8 +5,16 @@ than the library code: brute-force eigendecompositions, literal index
 summations, numeric integration and differentiation, Monte-Carlo moments.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import curve_fit
+
+from snvtune.control import (EmitterState, PIDState, calibrate_lockin, cr_check,
+                             lockin_error, pid_update)
+from snvtune.emitters import TuningCurve
+from snvtune.errors import InputError
+from snvtune.spectroscopy import effective_linewidth, fit_line, sample_scan
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -171,3 +179,86 @@ def geometric_heat_steady_state(pulse, cooldown, tau) -> float:
             return t_next
         t = t_next
     return t
+
+
+def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,
+                            stab, seed) -> dict:
+    """Per-call reference of ``run_stabilization``'s frame loop.
+
+    Each frame goes through the public probes one call at a time:
+    ``DriftProcess.step``, ``lockin_error`` and ``cr_check`` on an
+    ``EmitterState``, then ``pid_update``; each scan through ``sample_scan``
+    and ``fit_line``, with a fit that finds no line recorded unconverged.
+    Takes a valid setup (no input checks) and returns the ``FeedbackLog``
+    arrays by field name.
+    """
+    curve = TuningCurve(emitter, device)
+    dt = 1.0 / pid_cfg.update_rate_hz
+    n_frames = int(round(stab.duration_s * pid_cfg.update_rate_hz))
+    target = stab.target_ghz
+    if target is None:
+        target = float(curve.shift(stab.operating_voltage))
+    drift_rng, lockin_rng, cr_rng, scan_rng = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4))
+    drift = replace(drift)
+    state = EmitterState(emitter=emitter, device=device,
+                         dc_voltage=float(stab.operating_voltage),
+                         drift_ghz=drift.state_ghz)
+    calibration = (calibrate_lockin(state, target, lockin_cfg, curve)
+                   if stab.feedback else None)
+    scan_epochs = stab.duration_s * (np.arange(1, stab.n_scans + 1) / stab.n_scans)
+    half = 0.5 * stab.scan_span_ghz
+    scan_grid = target + np.linspace(-half, half, stab.scan_points)
+
+    t_arr, v_arr = np.empty(n_frames), np.empty(n_frames)
+    e_arr = np.full(n_frames, np.nan)
+    valid_arr = np.zeros(n_frames, dtype=bool)
+    cr_arr = np.zeros(n_frames, dtype=bool)
+    s_time, s_center, s_fwhm, s_conv, s_true = [], [], [], [], []
+    pid_state = PIDState()
+    next_scan = 0
+    for i in range(n_frames):
+        t = (i + 1) * dt
+        drift.step(dt, drift_rng)
+        state.drift_ghz = drift.state_ghz
+        frame_cr = False
+        if stab.feedback:
+            probe = lockin_error(state, target, lockin_cfg, rng=lockin_rng,
+                                 curve=curve, calibration=calibration)
+            frame_cr = cr_check(state, target, cr_cfg, cr_rng, curve).passed
+            if probe.valid:
+                state.dc_voltage = pid_update(pid_state, state.dc_voltage,
+                                              probe.error_ghz, pid_cfg, dt)
+                e_arr[i] = probe.error_ghz
+            valid_arr[i] = probe.valid
+        t_arr[i] = t
+        v_arr[i] = state.dc_voltage
+        cr_arr[i] = frame_cr
+        if next_scan < stab.n_scans and t >= scan_epochs[next_scan] - 0.5 * dt:
+            if stab.feedback and not frame_cr:
+                continue
+            shift_now = float(curve.shift(state.dc_voltage))
+            scan = sample_scan(emitter, scan_grid, shift_now,
+                               effective_linewidth(emitter, shift_now),
+                               stab.scan_dwell_s, state.dc_voltage,
+                               rng=scan_rng, extra_offset_ghz=state.drift_ghz)
+            try:
+                fit = fit_line(scan, stab.scan_shape)
+                s_center.append(fit.center)
+                s_fwhm.append(fit.fwhm)
+                s_conv.append(fit.converged)
+            except InputError:
+                s_center.append(np.nan)
+                s_fwhm.append(np.nan)
+                s_conv.append(False)
+            s_time.append(t)
+            s_true.append(shift_now + state.drift_ghz)
+            next_scan += 1
+    return {
+        "update_time_s": t_arr, "dc_voltage_v": v_arr, "error_ghz": e_arr,
+        "lockin_valid": valid_arr, "cr_pass": cr_arr,
+        "scan_time_s": np.asarray(s_time), "scan_center_ghz": np.asarray(s_center),
+        "scan_fwhm_mhz": np.asarray(s_fwhm),
+        "scan_converged": np.asarray(s_conv, dtype=bool),
+        "scan_true_center_ghz": np.asarray(s_true),
+    }

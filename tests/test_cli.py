@@ -239,6 +239,30 @@ class TestStabilize:
     def test_zero_duration_exits_2(self, tmp_path):
         assert run_cli("--out", tmp_path, "stabilize", "--duration", "0") == 2
 
+    def test_failed_scan_fit_writes_unconverged_rows(self, tmp_path):
+        # faint emitter, 1-photon CR threshold: the 5 ms scans hold no line
+        doc = json.loads(default_config_text())
+        emitter = next(e for e in doc["emitters"] if e["id"] == "axial_hinge")
+        emitter["peak_rate"]["value"] = 100.0
+        emitter["background_rate"]["value"] = 5.0
+        doc["control"]["cr_check"]["photon_threshold"] = 1
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", path, "--seed", "7",
+                       "stabilize", "--duration", "60", "--scans", "2") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "stabilize_scans_7.csv", "stabilize_summary_7.json",
+            "stabilize_updates_7.csv"]
+        scans = read_csv_rows(out / "stabilize_scans_7.csv")
+        assert len(scans) == 2
+        for row in scans:
+            assert row["converged"] == "0"
+            assert row["fitted_center_GHz"] == row["fitted_fwhm_MHz"] == ""
+            assert float(row["true_center_GHz"]) < 0.0
+        summary = json.loads((out / "stabilize_summary_7.json").read_text())
+        assert (summary["n_scans"], summary["n_converged"]) == (2, 0)
+
     def test_multi_seed_jobs(self, tmp_path):
         assert run_cli("--out", tmp_path, "--jobs", "2", "stabilize",
                        "--duration", "240", "--scans", "1",

@@ -15,7 +15,8 @@ from snvtune.control import (CRCheckConfig, DriftProcess, EmitterState,
 from snvtune.emitters import TuningCurve, shift_from_voltage_chain
 from snvtune.spectroscopy import effective_linewidth
 
-from oracles import fisher_center_sigma, ou_jump_mc_std, trapezoid
+from oracles import (fisher_center_sigma, ou_jump_mc_std,
+                     reference_stabilization, trapezoid)
 
 
 class TestDriftProcess:
@@ -532,6 +533,72 @@ class TestRunStabilization:
             st.run_stabilization(dark, device, config.control.drift,
                                  config.control.lockin, config.control.pid,
                                  config.control.cr_check, good, seed=1)
+        # the PID may drive the bias to output_max, where the modulation
+        # would probe above v_max
+        v_max = device.calibration.v_max
+        with pytest.raises(st.ConfigError, match="modulation"):
+            st.run_stabilization(axial, device, config.control.drift,
+                                 config.control.lockin,
+                                 replace(config.control.pid, output_max=v_max),
+                                 config.control.cr_check, good, seed=1)
+
+    @staticmethod
+    def dim_setup(config, axial):
+        """A faint emitter with a 1-photon CR threshold: some probes count
+        nothing, and the default 5 ms scans hold no line to fit."""
+        c = config.control
+        return (replace(axial, peak_rate=100.0, background_rate=5.0), c.drift,
+                c.lockin, c.pid, replace(c.cr_check, photon_threshold=1),
+                replace(c.stabilization, duration_s=60.0, n_scans=2), 7)
+
+    def test_failed_scan_fit_is_recorded_unconverged(self, config, axial, device):
+        emitter, drift, lockin, pid, cr, stab, seed = self.dim_setup(config, axial)
+        log = st.run_stabilization(emitter, device, drift, lockin, pid, cr,
+                                   stab, seed)
+        assert log.meta["n_scans_taken"] == 2
+        assert not log.scan_converged.any()
+        assert np.isnan(log.scan_center_ghz).all()
+        assert np.isnan(log.scan_fwhm_mhz).all()
+        assert np.isfinite(log.scan_true_center_ghz).all()
+        assert summarize_log(log)["n_converged"] == 0
+
+    CORNERS = {
+        "feedback": {},
+        "free_running": {"stab": {"feedback": False}},
+        "ki_and_kd": {"pid": {"ki": 0.02, "kd": 0.05}},
+        "cr_retries": {"cr": {"max_attempts": 3, "photon_threshold": 900}},
+        "explicit_target": {"stab": {"target_ghz": -12.0}},
+        "jumps_only": {"drift": {"ou_sigma_ghz": 0.0, "jump_rate_hz": 0.5}},
+        "drift_start": {"drift": {"state_ghz": 0.4}},
+        "dim": None,
+    }
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_loop_matches_per_call_reference_bit_for_bit(self, config, axial,
+                                                         device, corner):
+        c = config.control
+        if self.CORNERS[corner] is None:
+            emitter, drift, lockin, pid, cr, stab, seed = self.dim_setup(config, axial)
+        else:
+            over = self.CORNERS[corner]
+            emitter, seed = axial, 3
+            drift = replace(c.drift, **over.get("drift", {}))
+            lockin = c.lockin
+            pid = replace(c.pid, **over.get("pid", {}))
+            cr = replace(c.cr_check, **over.get("cr", {}))
+            stab = replace(c.stabilization, duration_s=120.0, n_scans=3,
+                           **over.get("stab", {}))
+        log = st.run_stabilization(emitter, device, drift, lockin, pid, cr,
+                                   stab, seed)
+        ref = reference_stabilization(emitter, device, drift, lockin, pid, cr,
+                                      stab, seed)
+        for name, want in ref.items():
+            got = getattr(log, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        if corner == "dim":  # invalid probes, held bias and failed fits
+            assert not log.lockin_valid.all() and log.lockin_valid.any()
+            assert not log.scan_converged.any()
 
     def test_summary_and_summed_scan(self, config, axial, device):
         stab = st.StabilizationConfig(duration_s=900.0, n_scans=6)
