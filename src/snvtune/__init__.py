@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .actuator import (ActuatorCalibration, DeviceGeometry, DeviceModel,
                        ThermalModel, bending_profile, hinge_point,
-                       pull_in_guard, pulsed_resonance_offset, strain_at)
+                       pulsed_resonance_offset, strain_at)
 from .config import (RunConfig, load_config, load_default_config,
                      parse_config)
 from .control import (CRCheckConfig, DriftProcess, FeedbackLog, LockInConfig,
@@ -22,9 +22,8 @@ from .emitters import (EmitterModel, TuningCurve, level_response_at,
                        shift_from_voltage_chain)
 from .errors import (ConfigError, ContractError, DomainError, InputError,
                      RangeError, SnvTuneError)
-from .frames import (Orientation, OrientationClass, classify,
-                     defect_rotation, lab_to_crystal, lab_to_defect,
-                     rotate_strain)
+from .frames import (Orientation, defect_rotation, lab_to_crystal,
+                     lab_to_defect, rotate_strain)
 from .spectroscopy import (FitResult, ScanRecord, cdf_and_window,
                            effective_linewidth, fit_line, simulate_ple)
 from .strain import (Frame, IrreducibleStrain, LevelResponse, SpinOrbit,

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError, RangeError
 from .strain import Frame, StrainTensor
 
-EPSILON_0 = 8.8541878128e-12  # F/m
-YOUNG_DIAMOND = 1.05e12       # Pa
-
 Position = tuple[float, float, float]
 
 
@@ -187,25 +184,3 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
     safe = _steady_state_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
     excess = max(0.0, heat - safe)
     return -thermal.heat_shift_coeff * excess + 0.0
-
-
-def pull_in_guard(geometry: DeviceGeometry, v: float) -> float:
-    """Small-deflection electrode-gap closure estimate in meters.
-
-    Parallel-plate force on the spring electrode against the clamped-guided
-    spring stiffness k = 12 E I / L^3.  Raises when the deflection exceeds
-    one third of the gap, the classical pull-in threshold.
-    """
-    if v < 0.0:
-        raise InputError("voltage must be >= 0")
-    area = geometry.l_tp * geometry.w_spring
-    force = 0.5 * EPSILON_0 * area * (v / geometry.gap_height) ** 2
-    inertia = geometry.w_spring * geometry.h_waveguide ** 3 / 12.0
-    stiffness = 12.0 * YOUNG_DIAMOND * inertia / geometry.l_tp ** 3
-    deflection = force / stiffness
-    if deflection > geometry.gap_height / 3.0:
-        raise RangeError(
-            f"pull-in risk: {v:.1f} V deflects the spring {deflection * 1e9:.0f} nm, "
-            f"more than a third of the {geometry.gap_height * 1e6:.2f} um gap"
-        )
-    return deflection

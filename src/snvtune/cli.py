@@ -5,8 +5,8 @@ reads one JSON configuration (shipped default unless --config is given),
 derives per-task seeds from the master seed, and emits CSV/JSON files with
 provenance headers.  Identical config and seed give byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration or input validation error, 3 runtime
-range/domain error.
+Exit codes: 0 success, 2 configuration or input validation error (an input
+too large to allocate included), 3 runtime range/domain error.
 """
 
 from __future__ import annotations
@@ -116,11 +116,8 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 
 def _ple_one(args) -> str:
     cfg, name, v, detunings, dwell, expected_mode, out_str, seed = args
-    emitter = cfg.emitter(name)
-    if expected_mode:
-        scan = simulate_ple(emitter, cfg.device, v, detunings, dwell)
-    else:
-        scan = simulate_ple(emitter, cfg.device, v, detunings, dwell, seed=seed)
+    scan = simulate_ple(cfg.emitter(name), cfg.device, v, detunings, dwell,
+                        seed=None if expected_mode else seed)
     path = Path(out_str) / f"ple_{name}_{v:g}V.csv"
     scan_to_csv(scan, path, header_lines=_provenance(cfg, "ple", seed),
                 include_expected=expected_mode)
@@ -136,11 +133,12 @@ def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
                 f"bias {v} V outside [0, {cfg.device.calibration.v_max}] V")
     if ns.points < 1:
         raise InputError("--points must be >= 1")
+    curve = TuningCurve(emitter, cfg.device)
     tasks = []
     for v in voltages:
         center = ns.center
         if center is None:
-            center = float(TuningCurve(emitter, cfg.device).shift(v))
+            center = float(curve.shift(v))
         detunings = center + np.linspace(-0.5 * ns.span, 0.5 * ns.span, ns.points)
         task_seed = derive_seed(seed, "ple", ns.emitter, f"{v:g}")
         tasks.append((cfg, ns.emitter, v, detunings, ns.dwell,
@@ -231,7 +229,7 @@ def _stabilize_one(args) -> tuple[str, dict]:
     summary.update(log.meta)
     summary["config_sha256"] = cfg.config_hash()
     summary["configs"] = {
-        "drift": asdict(replace(cfg.control.drift)),
+        "drift": asdict(cfg.control.drift),
         "lockin": asdict(cfg.control.lockin),
         "pid": asdict(cfg.control.pid),
         "cr_check": asdict(cfg.control.cr_check),
@@ -412,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         return ns.func(cfg, ns, out, seed, max(1, ns.jobs))
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size numpy cannot allocate
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except (RangeError, DomainError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)

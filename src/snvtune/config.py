@@ -8,9 +8,10 @@ Validation failures name the offending key and constraint, and nothing is
 written before validation completes.
 
 Each section is described by a field table whose rows read
-``(attribute, json_key, kind[, default])``.  ``kind`` is a unit table (a
+``(attribute, json_key, kind[, OPTIONAL])``.  ``kind`` is a unit table (a
 unit-tagged quantity), ``float`` (a plain number), ``int`` (a whole number)
-or a tuple of accepted strings; a row with a default is optional.
+or a tuple of accepted strings; an absent optional key takes the dataclass
+default.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ GAIN_V_PER_GHZ_S = {"V/(GHz*s)": 1.0, "V/GHz/s": 1.0}
 GAIN_V_S_PER_GHZ = {"V*s/GHz": 1.0}
 
 _ORIENTATIONS = {o.value: o for o in Orientation}
+OPTIONAL = "optional"
 
 SPIN_ORBIT = [("lambda_g", "lambda_g", FREQUENCY_GHZ),
               ("lambda_u", "lambda_u", FREQUENCY_GHZ)]
@@ -57,8 +59,8 @@ GEOMETRY = [(k, k, LENGTH_M) for k in DeviceGeometry.__dataclass_fields__]
 CALIBRATION = [("v_ref", "v_ref", VOLTAGE_V), ("eps_ref", "eps_ref", STRAIN_1),
                ("v_max", "v_max", VOLTAGE_V)]
 TENSOR_RATIOS = [("ratio_yy", "yy", float), ("ratio_zz", "zz", float),
-                 ("ratio_yz", "yz", float, 0.0), ("ratio_zx", "zx", float, 0.0),
-                 ("ratio_xy", "xy", float, 0.0)]
+                 ("ratio_yz", "yz", float, OPTIONAL),
+                 ("ratio_zx", "zx", float, OPTIONAL), ("ratio_xy", "xy", float, OPTIONAL)]
 THERMAL = [("cooldown_time_us", "cooldown_time", TIME_US),
            ("max_pulse_us", "max_pulse", TIME_US),
            ("heat_shift_coeff", "heat_shift_coeff", FREQUENCY_GHZ),
@@ -85,16 +87,16 @@ PID = [("kp", "kp", GAIN_V_PER_GHZ), ("ki", "ki", GAIN_V_PER_GHZ_S),
        ("kd", "kd", GAIN_V_S_PER_GHZ), ("output_min", "output_min", VOLTAGE_V),
        ("output_max", "output_max", VOLTAGE_V),
        ("update_rate_hz", "update_rate", RATE_PER_S),
-       ("integral_limit", "integral_limit", float, 20.0)]
+       ("integral_limit", "integral_limit", float, OPTIONAL)]
 CR_CHECK = [("probe_duration_s", "probe_duration", TIME_S),
             ("photon_threshold", "photon_threshold", int),
-            ("max_attempts", "max_attempts", int, 1)]
+            ("max_attempts", "max_attempts", int, OPTIONAL)]
 STABILIZATION = [("duration_s", "duration", TIME_S), ("n_scans", "n_scans", int),
                  ("scan_span_ghz", "scan_span", FREQUENCY_GHZ),
                  ("scan_points", "scan_points", int),
                  ("scan_dwell_s", "scan_dwell", TIME_S),
                  ("operating_voltage", "operating_voltage", VOLTAGE_V),
-                 ("scan_shape", "scan_shape", ("lorentzian", "voigt"), "voigt")]
+                 ("scan_shape", "scan_shape", ("lorentzian", "voigt"), OPTIONAL)]
 
 
 def _number(node, path: str) -> float:
@@ -131,12 +133,10 @@ def _convert(node, kind, path: str):
 def _fields(node: dict, path: str, rows) -> dict:
     """Keyword arguments converted from one JSON object by a field table."""
     kwargs = {}
-    for attr, key, kind, *default in rows:
+    for attr, key, kind, *optional in rows:
         if key in node:
             kwargs[attr] = _convert(node[key], kind, f"{path}.{key}")
-        elif default:
-            kwargs[attr] = default[0]
-        else:
+        elif not optional:
             raise ConfigError(f"{path}.{key}: missing required key")
     return kwargs
 

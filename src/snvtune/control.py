@@ -16,7 +16,6 @@ identical drift realization.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,8 +24,9 @@ import numpy as np
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
 from .errors import ConfigError, InputError
-from .spectroscopy import (MHZ_PER_GHZ, ScanRecord, effective_linewidth,
-                           fit_line, lorentzian_peak, sample_scan)
+from .spectroscopy import (_POISSON_LAM_MAX, MHZ_PER_GHZ, ScanRecord,
+                           count_rate, effective_linewidth, fit_line,
+                           sample_scan)
 
 
 @dataclass
@@ -164,7 +164,6 @@ class EmitterState:
 @dataclass(frozen=True)
 class LockInResult:
     error_ghz: float
-    total_counts: float
     valid: bool
 
 
@@ -181,31 +180,8 @@ class PIDState:
     last_measurement: float | None = None
 
 
-@functools.lru_cache(maxsize=16)
-def _probe_table(cfg: LockInConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-config probe constants: sin(phase) and bias offset per bin, bin time.
-
-    Every caller shares the cached arrays, so they are read-only.
-    """
-    n = cfg.periods_per_probe * cfg.bins_per_period
-    phases = 2.0 * np.pi * (np.arange(n) + 0.5) / cfg.bins_per_period
-    sin = np.sin(phases)
-    offsets_v = cfg.mod_amp_v * sin
-    sin.setflags(write=False)
-    offsets_v.setflags(write=False)
-    return sin, offsets_v, cfg.probe_duration_s / n
-
-
 def _linewidth_ghz(emitter: EmitterModel, shift_ghz: float) -> float:
     return effective_linewidth(emitter, shift_ghz) / MHZ_PER_GHZ
-
-
-def _count_rate(peak, background, detuning_ghz, fwhm_ghz):
-    """Count rate of a line ``detuning_ghz`` away from the probe frequency.
-
-    Scalar for the CR check, per phase bin for the lock-in probe.
-    """
-    return peak * lorentzian_peak(detuning_ghz, fwhm_ghz) + background
 
 
 class _LockIn:
@@ -220,14 +196,16 @@ class _LockIn:
                  "_background", "_t_bin")
 
     def __init__(self, emitter: EmitterModel, curve: TuningCurve, cfg: LockInConfig):
-        sin, offsets_v, t_bin = _probe_table(cfg)
+        n = cfg.periods_per_probe * cfg.bins_per_period
+        sin = np.sin(2.0 * np.pi * (np.arange(n) + 0.5) / cfg.bins_per_period)
+        offsets_v = cfg.mod_amp_v * sin
         self._shift = curve._shift_rows
-        self._consts = curve._row_constants(sin.size)
+        self._consts = curve._row_constants(n)
         self._offsets_v = np.stack([offsets_v, offsets_v])
         self._weights = np.stack([np.ones_like(sin), sin])
         self._peak = np.asarray(float(emitter.peak_rate))
         self._background = np.asarray(float(emitter.background_rate))
-        self._t_bin = np.asarray(t_bin)
+        self._t_bin = np.asarray(cfg.probe_duration_s / n)
 
     def expected(self, dc_voltage: float, drift_ghz: float, target_ghz,
                  fwhm_ghz: float) -> np.ndarray:
@@ -237,8 +215,8 @@ class _LockIn:
         with the CR check.
         """
         line = self._shift(dc_voltage + self._offsets_v, self._consts) + drift_ghz
-        return _count_rate(self._peak, self._background, target_ghz - line,
-                           fwhm_ghz) * self._t_bin
+        return count_rate(self._peak, self._background, target_ghz - line,
+                          fwhm_ghz) * self._t_bin
 
     def demodulate(self, counts) -> list[float]:
         """Total counts and first-harmonic (sin-weighted) sum of one probe."""
@@ -306,9 +284,8 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     expected = lockin.expected(state.dc_voltage, state.drift_ghz, target_ghz, fwhm_ghz)
     total, demod = lockin.demodulate(expected if rng is None else rng.poisson(expected))
     if total <= 0.0 or calibration.sensitivity == 0.0:
-        return LockInResult(error_ghz=0.0, total_counts=total, valid=False)
-    return LockInResult(error_ghz=calibration.error(demod), total_counts=total,
-                        valid=True)
+        return LockInResult(error_ghz=0.0, valid=False)
+    return LockInResult(error_ghz=calibration.error(demod), valid=True)
 
 
 def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
@@ -321,9 +298,9 @@ def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
     """
     emitter = state.emitter
     shift = curve.shift(state.dc_voltage)
-    rate = _count_rate(emitter.peak_rate, emitter.background_rate,
-                       target_ghz - (shift + state.drift_ghz),
-                       _linewidth_ghz(emitter, shift))
+    rate = count_rate(emitter.peak_rate, emitter.background_rate,
+                      target_ghz - (shift + state.drift_ghz),
+                      _linewidth_ghz(emitter, shift))
     return CRCheckResult(*_cr_probe(rate, cfg, rng))
 
 
@@ -467,13 +444,18 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     dc = float(stab.operating_voltage)
     x = drift.state_ghz  # drift offset; the caller's process is untouched
     if feedback:
+        lockin = _LockIn(emitter, curve, lockin_cfg)
+        # the line's peak rate over the longer of a lock-in bin and a CR probe
+        probe_s = max(float(lockin._t_bin), cr_cfg.probe_duration_s)
+        if not (emitter.peak_rate + emitter.background_rate) * probe_s <= _POISSON_LAM_MAX:
+            raise ConfigError(f"emitter {emitter.name!r}: count rates give probe counts "
+                              f"above the Poisson sampler's limit of {_POISSON_LAM_MAX:.3g}")
         calibration = calibrate_lockin(EmitterState(emitter, device, dc, x),
                                        target, lockin_cfg, curve)
         if abs(calibration.sensitivity) < 1e-12:
             raise ConfigError(
                 "lock-in sensitivity vanishes at the operating point; "
                 "increase the operating voltage or modulation amplitude")
-        lockin = _LockIn(emitter, curve, lockin_cfg)
         expected, demodulate = lockin.expected, lockin.demodulate
         poisson, error_of = lockin_rng.poisson, calibration.error
         shift, target_0d = curve.shift, np.asarray(target)
@@ -503,8 +485,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             shift_dc = shift(dc)
             fwhm_ghz = _linewidth_ghz(emitter, shift_dc)
             total, demod = demodulate(poisson(expected(dc, x, target_0d, fwhm_ghz)))
-            passed = _cr_probe(_count_rate(peak, background, target - (shift_dc + x),
-                                           fwhm_ghz), cr_cfg, cr_rng)[0]
+            passed = _cr_probe(count_rate(peak, background, target - (shift_dc + x),
+                                          fwhm_ghz), cr_cfg, cr_rng)[0]
             # The CR check heralds the resonance condition for the scans;
             # the bias update itself runs every frame the probe saw photons.
             if total > 0.0:

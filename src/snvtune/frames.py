@@ -23,11 +23,6 @@ import numpy as np
 from .errors import ContractError
 from .strain import Frame, StrainTensor
 
-ORTHONORMALITY_TOL = 1e-12
-
-# Waveguide long axis expressed in crystal coordinates (unnormalized).
-WAVEGUIDE_AXIS = np.array([1.0, 1.0, 0.0])
-
 
 class Orientation(Enum):
     """The four possible <111> symmetry axes of a defect in the crystal."""
@@ -53,11 +48,6 @@ _AXIS_SIGNS = {
     Orientation.P1M11: (1, -1, 1),
     Orientation.MM11: (-1, -1, 1),
 }
-
-
-class OrientationClass(Enum):
-    AXIAL = "axial"
-    TRANSVERSAL = "transversal"
 
 
 def lab_to_crystal() -> np.ndarray:
@@ -130,16 +120,4 @@ def rotate_strain(eps: StrainTensor, r: np.ndarray,
     m = r @ eps.as_matrix() @ r.T
     m = 0.5 * (m + m.T)  # scrub rounding asymmetry
     return StrainTensor(m[0, 0], m[1, 1], m[2, 2], m[1, 2], m[2, 0], m[0, 1],
-                        frame=target_frame, guard=eps.guard)
-
-
-def classify(o: Orientation) -> OrientationClass:
-    """Axial/transversal class of an orientation under [110] uniaxial strain.
-
-    Variants whose symmetry axis has a component along the waveguide axis
-    shift strongly (axial); the two axes perpendicular to it respond weakly
-    (transversal).  A direction and its negative are the same defect axis,
-    so the test uses the magnitude of the projection.
-    """
-    proj = abs(float(np.dot(o.axis, WAVEGUIDE_AXIS)))
-    return OrientationClass.AXIAL if proj > 1e-12 else OrientationClass.TRANSVERSAL
+                        frame=target_frame)

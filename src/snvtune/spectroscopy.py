@@ -48,6 +48,14 @@ def lorentzian_peak(x, fwhm_ghz):
     return _ONE / (_ONE + (_TWO * np.asarray(x, dtype=float) / fwhm_ghz) ** 2)
 
 
+def count_rate(peak, background, detuning_ghz, fwhm_ghz):
+    """Count rate of a line ``detuning_ghz`` away from the probe frequency.
+
+    Even in the detuning, so scans and probes may pass it with either sign.
+    """
+    return peak * lorentzian_peak(detuning_ghz, fwhm_ghz) + background
+
+
 def effective_linewidth(emitter: EmitterModel, shift_ghz: float) -> float:
     """Strain-broadened FWHM in MHz: intrinsic width plus the linear term."""
     return emitter.fwhm0_mhz + emitter.broadening_slope * abs(shift_ghz)
@@ -110,14 +118,6 @@ class CdfResult:
     best_window_start: float
 
 
-def expected_rates(emitter: EmitterModel, detunings, center_ghz: float,
-                   fwhm_mhz: float) -> np.ndarray:
-    """Expected photon count rates (counts/s) over a detuning grid."""
-    fwhm_ghz = fwhm_mhz / MHZ_PER_GHZ
-    line = lorentzian_peak(np.asarray(detunings, dtype=float) - center_ghz, fwhm_ghz)
-    return emitter.peak_rate * line + emitter.background_rate
-
-
 def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
                 fwhm_mhz: float, dwell_s: float, bias_v: float,
                 rng: np.random.Generator | None, seed: int | None = None,
@@ -132,7 +132,10 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
     """
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
-    rates = expected_rates(emitter, detunings, center_ghz + extra_offset_ghz, fwhm_mhz)
+    detunings = np.asarray(detunings, dtype=float)
+    rates = count_rate(emitter.peak_rate, emitter.background_rate,
+                       detunings - (center_ghz + extra_offset_ghz),
+                       fwhm_mhz / MHZ_PER_GHZ)
     with np.errstate(over="ignore"):
         expected = rates * dwell_s
     if rng is None:
@@ -145,7 +148,7 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
                 f"dwell {dwell_s:g} s gives expected counts above the Poisson "
                 f"sampler's limit of {_POISSON_LAM_MAX:.3g} per point")
         counts = rng.poisson(expected).astype(np.int64)
-    return ScanRecord(detunings=np.asarray(detunings, dtype=float), counts=counts,
+    return ScanRecord(detunings=detunings, counts=counts,
                       dwell_s=dwell_s, bias_v=bias_v, seed=seed,
                       emitter=emitter.name, expected=expected,
                       window_warning=window_warning)

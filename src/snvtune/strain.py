@@ -20,7 +20,7 @@ in GHz and susceptibilities in GHz per unit strain throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,8 +44,8 @@ class Frame(str, Enum):
 class StrainTensor:
     """Symmetric rank-2 strain tensor (six independent dimensionless entries).
 
-    Components use the frame indicated by ``frame``; ``guard`` is the
-    largest magnitude any component may take (small-strain regime check).
+    Components use the frame indicated by ``frame``; no component may exceed
+    ``DEFAULT_STRAIN_GUARD`` in magnitude (small-strain regime check).
     """
 
     e_xx: float
@@ -55,22 +55,20 @@ class StrainTensor:
     e_zx: float
     e_xy: float
     frame: Frame = Frame.LAB
-    guard: float = field(default=DEFAULT_STRAIN_GUARD, repr=False, compare=False)
 
     def __post_init__(self):
         comps = (self.e_xx, self.e_yy, self.e_zz, self.e_yz, self.e_zx, self.e_xy)
         if not all(np.isfinite(comps)):
             raise InputError("strain tensor components must be finite")
         worst = max(abs(c) for c in comps)
-        if worst > self.guard:
+        if worst > DEFAULT_STRAIN_GUARD:
             raise InputError(
                 f"strain component magnitude {worst:.3e} exceeds the "
-                f"small-strain guard {self.guard:.3e}"
+                f"small-strain guard {DEFAULT_STRAIN_GUARD:.3e}"
             )
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, frame: Frame,
-                    guard: float = DEFAULT_STRAIN_GUARD) -> "StrainTensor":
+    def from_matrix(cls, m: np.ndarray, frame: Frame) -> "StrainTensor":
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise InputError("strain matrix must be 3x3")
@@ -78,7 +76,7 @@ class StrainTensor:
             raise InputError("strain matrix must be symmetric")
         sym = 0.5 * (m + m.T)
         return cls(sym[0, 0], sym[1, 1], sym[2, 2],
-                   sym[1, 2], sym[2, 0], sym[0, 1], frame=frame, guard=guard)
+                   sym[1, 2], sym[2, 0], sym[0, 1], frame=frame)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([

@@ -134,23 +134,6 @@ class TestThermalModel:
         assert hi < lo < 0.0
 
 
-class TestPullIn:
-    def test_zero_voltage_zero_deflection(self, device):
-        assert st.pull_in_guard(device.geometry, 0.0) == 0.0
-
-    def test_quadratic_scaling(self, device):
-        d1 = st.pull_in_guard(device.geometry, 35.0)
-        d2 = st.pull_in_guard(device.geometry, 70.0)
-        assert d2 / d1 == pytest.approx(4.0, rel=1e-12)
-
-    def test_deflection_small_at_operating_voltages(self, device):
-        assert st.pull_in_guard(device.geometry, 80.0) < device.geometry.gap_height / 3
-
-    def test_pull_in_raises(self, device):
-        with pytest.raises(st.RangeError):
-            st.pull_in_guard(device.geometry, 2000.0)
-
-
 class TestOrientationContrast:
     def test_axial_dominates_transversal(self, config, device):
         v = device.calibration.v_max

@@ -263,6 +263,22 @@ class TestStabilize:
         summary = json.loads((out / "stabilize_summary_7.json").read_text())
         assert (summary["n_scans"], summary["n_converged"]) == (2, 0)
 
+    @pytest.mark.parametrize("key, value", [("peak_rate", 1e308),
+                                            ("background_rate", 1e300)])
+    def test_probe_rates_beyond_poisson_limit_exit_2(self, tmp_path, capsys,
+                                                     key, value):
+        doc = json.loads(default_config_text())
+        emitter = next(e for e in doc["emitters"] if e["id"] == "axial_hinge")
+        emitter[key]["value"] = value
+        path = tmp_path / "bright.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", path, "stabilize",
+                       "--duration", "10", "--scans", "1") == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Poisson" in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_multi_seed_jobs(self, tmp_path):
         assert run_cli("--out", tmp_path, "--jobs", "2", "stabilize",
                        "--duration", "240", "--scans", "1",
@@ -329,6 +345,12 @@ class TestMalformedArguments:
         ("ple", "--emitter", "axial_hinge", "--points", "-1"),
         ("calibrate-pulse", "--bias", "nan"),
         ("calibrate-pulse", "--pulses", "inf"),
+        # sizes numpy refuses to allocate at once
+        ("stabilize", "--duration", "1e15"),
+        ("stabilize", "--scans", "1000000000000000"),
+        ("tune-curve", "--steps", "1000000000000000"),
+        ("ple", "--emitter", "axial_hinge", "--points", "1000000000000000"),
+        ("inhomo", "--n", "1000000000000000"),
     ]
 
     @pytest.mark.parametrize("args", CASES, ids=" ".join)

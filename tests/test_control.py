@@ -9,7 +9,7 @@ from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune.control import (CRCheckConfig, DriftProcess, EmitterState,
-                             LockInConfig, PIDConfig, PIDState, _probe_table,
+                             LockInConfig, PIDConfig, PIDState,
                              calibrate_lockin, cr_check, lockin_error,
                              pid_update, summarize_log, summed_scan)
 from snvtune.emitters import TuningCurve, shift_from_voltage_chain
@@ -125,13 +125,6 @@ class TestLockInError:
         delta = frac * fwhm_ghz
         assert error(delta) == pytest.approx(-error(-delta), rel=0.05,
                                              abs=1e-4 * fwhm_ghz)
-
-    def test_probe_table_is_read_only(self, lock_setup):
-        sin, offsets_v, _ = _probe_table(lock_setup[0].control.lockin)
-        for table in (sin, offsets_v):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.0
 
     def test_linear_range_against_numeric_integration_oracle(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup

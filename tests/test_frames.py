@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import snvtune as st
-from snvtune.frames import WAVEGUIDE_AXIS, Orientation, OrientationClass
+from snvtune.frames import Orientation
 from snvtune.strain import Frame, StrainTensor
 
 from oracles import random_rotation, random_symmetric, rotate_index_sum
 
 ALL = list(Orientation)
+# axes with a component along the [110] waveguide axis
+AXIAL = {Orientation.P111, Orientation.MM11}
 
 
 class TestLabToCrystal:
@@ -129,26 +131,6 @@ class TestLabToDefectCache:
         assert st.lab_to_defect(o, angle).tobytes() == expected.tobytes()
 
 
-class TestClassification:
-    def test_111_is_axial(self):
-        assert st.classify(Orientation.P111) is OrientationClass.AXIAL
-
-    def test_two_per_class(self):
-        classes = [st.classify(o) for o in ALL]
-        assert classes.count(OrientationClass.AXIAL) == 2
-        assert classes.count(OrientationClass.TRANSVERSAL) == 2
-
-    @pytest.mark.parametrize("o", ALL)
-    def test_sign_flip_invariant(self, o):
-        # a direction and its negative are the same defect axis
-        proj = abs(np.dot(o.axis, WAVEGUIDE_AXIS))
-        proj_flipped = abs(np.dot(-o.axis, WAVEGUIDE_AXIS))
-        assert proj == pytest.approx(proj_flipped)
-        expected = (OrientationClass.AXIAL if proj > 1e-12
-                    else OrientationClass.TRANSVERSAL)
-        assert st.classify(o) is expected
-
-
 def _eg_magnitude(o, susc, eps_lab):
     rot = st.lab_to_defect(o)
     eps_def = st.rotate_strain(eps_lab, rot, Frame.DEFECT)
@@ -164,11 +146,9 @@ class TestStrainResponseSymmetry:
         # pure uniaxial lab strain along the waveguide ([110]) axis
         eps = StrainTensor(7e-5, 0, 0, 0, 0, 0, frame=Frame.LAB)
         eg = {o: _eg_magnitude(o, susc, eps) for o in ALL}
-        by_class = {OrientationClass.AXIAL: [], OrientationClass.TRANSVERSAL: []}
-        for o in ALL:
-            by_class[st.classify(o)].append(eg[o])
-        for pair in by_class.values():
-            assert pair[0] == pytest.approx(pair[1], rel=1e-10)
+        for pair in (AXIAL, set(ALL) - AXIAL):
+            a, b = (eg[o] for o in pair)
+            assert a == pytest.approx(b, rel=1e-10)
 
     def test_classes_differ_in_full_transition_shift(self, config, device):
         shifts = {o: None for o in ALL}
@@ -178,10 +158,8 @@ class TestStrainResponseSymmetry:
             emitter = replace(template, orientation=o)
             shifts[o] = st.shift_from_voltage_chain(emitter, device,
                                                     device.calibration.v_max)
-        axial = [abs(shifts[o]) for o in ALL
-                 if st.classify(o) is OrientationClass.AXIAL]
-        trans = [abs(shifts[o]) for o in ALL
-                 if st.classify(o) is OrientationClass.TRANSVERSAL]
+        axial = [abs(shifts[o]) for o in ALL if o in AXIAL]
+        trans = [abs(shifts[o]) for o in ALL if o not in AXIAL]
         assert min(axial) > 5.0 * max(trans)
 
     def test_threefold_convention_change_leaves_splittings_unchanged(self, config, rng):

@@ -12,9 +12,10 @@ from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune import spectroscopy
-from snvtune.spectroscopy import (best_window_fraction, empirical_cdf,
-                                  format_column, sample_inhomogeneous,
-                                  sample_scan, scan_from_csv, scan_to_csv)
+from snvtune.spectroscopy import (best_window_fraction, count_rate,
+                                  empirical_cdf, format_column,
+                                  sample_inhomogeneous, sample_scan,
+                                  scan_from_csv, scan_to_csv)
 
 from oracles import (central_difference_jacobian, fisher_center_sigma,
                      fit_line_finite_difference)
@@ -34,6 +35,32 @@ class TestEffectiveLinewidth:
         added1 = st.effective_linewidth(axial, 7.0) - base
         added2 = st.effective_linewidth(axial, 14.0) - base
         assert added2 == pytest.approx(2.0 * added1, rel=1e-12)
+
+
+class TestCountRate:
+    # the square of 2 x / fwhm overflows from about x = 1.27e153
+    DETUNINGS = [0.0, 5e-324, 1e-300, 0.095, 0.19, 1.0, 40.0, 1e153, 1.3e153,
+                 1e300, sys.float_info.max]
+
+    @pytest.mark.parametrize("kind", ["array", "float"])
+    def test_even_in_detuning_bit_for_bit(self, kind):
+        # scans pass detuning - center and the probes target - line
+        fwhm = 0.19
+        if kind == "array":  # the lock-in's 0-d rates
+            d = np.array(self.DETUNINGS)
+            peak, background = np.asarray(20000.0), np.asarray(200.0)
+            with np.errstate(over="ignore"):
+                plus = count_rate(peak, background, d, fwhm)
+                minus = count_rate(peak, background, -d, fwhm)
+            assert plus.tobytes() == minus.tobytes()
+            assert plus[-1] == 200.0  # far from the line: the background
+        else:  # the CR check's math path
+            for d in self.DETUNINGS:
+                plus = count_rate(20000.0, 200.0, d, fwhm)
+                minus = count_rate(20000.0, 200.0, -d, fwhm)
+                assert type(plus) is type(minus) is float
+                assert plus.hex() == minus.hex()
+            assert plus == 200.0
 
 
 class TestSimulatePle:

@@ -160,7 +160,6 @@ class TestStrainTensorType:
     def test_small_strain_guard(self):
         with pytest.raises(st.InputError):
             StrainTensor(0.5, 0, 0, 0, 0, 0)
-        StrainTensor(0.5, 0, 0, 0, 0, 0, guard=1.0)  # configurable
 
     def test_matrix_round_trip(self, rng):
         eps = random_defect_tensor(rng)
