@@ -3,6 +3,7 @@ import pytest
 
 import snvtune as st
 from snvtune.actuator import DeviceGeometry, ThermalModel, hinge_point
+from snvtune.strain import DEFAULT_STRAIN_GUARD
 
 from oracles import geometric_heat_steady_state, second_derivative
 
@@ -132,6 +133,32 @@ class TestThermalModel:
         lo = st.pulsed_resonance_offset(th, 200.0, 0.0, 30.0)
         hi = st.pulsed_resonance_offset(th, 200.0, 0.0, 60.0)
         assert hi < lo < 0.0
+
+
+class TestPullIn:
+    """The beam stays far from pull-in: the electrostatic drive scales as V^2,
+    and every voltage is checked against the calibrated v_max."""
+
+    def test_zero_voltage_zero_deflection(self, config, device):
+        for emitter in config.emitters.values():
+            assert st.shift_from_voltage_chain(emitter, device, 0.0) == 0.0
+
+    def test_quadratic_scaling(self, axial, device):
+        # the A1g (mean ZPL) shift is linear in strain, so exactly quadratic in V
+        def zpl_shift(v):
+            return st.level_response_at(axial, device, v).nu_zpl - axial.nu_zpl0()
+
+        assert zpl_shift(70.0) / zpl_shift(35.0) == pytest.approx(4.0, rel=1e-9)
+
+    def test_deflection_small_at_operating_voltages(self, device):
+        # peak strain at v_max stays deep in the small-strain regime
+        eps = st.strain_at(device, hinge_point(device.geometry),
+                           device.calibration.v_max)
+        assert np.max(np.abs(eps.as_matrix())) < DEFAULT_STRAIN_GUARD / 100
+
+    def test_pull_in_raises(self, axial, device):
+        with pytest.raises(st.RangeError):
+            st.shift_from_voltage_chain(axial, device, 2000.0)
 
 
 class TestOrientationContrast:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,52 @@ class TestLabToDefectCache:
         assert st.lab_to_defect(o, angle).tobytes() == expected.tobytes()
 
 
+def _waveguide_axis():
+    # the lab x axis, along the waveguide, in crystal coordinates
+    return st.lab_to_crystal() @ np.array([1.0, 0.0, 0.0])
+
+
+class TestClassification:
+    """The axial/transversal grouping follows from the geometry and the chain."""
+
+    def test_111_is_axial(self, config, device):
+        assert abs(np.dot(Orientation.P111.axis, _waveguide_axis())) > 0.5
+        emitter = replace(config.emitter("axial_hinge"),
+                          orientation=Orientation.P111)
+        v_max = device.calibration.v_max
+        assert abs(st.shift_from_voltage_chain(emitter, device, v_max)) >= 40.0
+
+    def test_two_per_class(self):
+        # axial axes lean into the waveguide axis, transversal ones are normal to it
+        proj = {o: abs(np.dot(o.axis, _waveguide_axis())) for o in ALL}
+        assert {o for o in ALL if proj[o] > 1e-12} == AXIAL
+        assert len(AXIAL) == 2
+        assert all(proj[o] < 1e-12 for o in set(ALL) - AXIAL)
+
+    @pytest.mark.parametrize("o", ALL)
+    def test_sign_flip_invariant(self, o, config, rng):
+        # a direction and its negative are the same defect axis: the D3d C2
+        # turn about defect y sends z to -z, keeps Eg_x and negates Eg_y
+        rot = st.lab_to_defect(o)
+        flipped = np.diag([-1.0, 1.0, -1.0]) @ rot
+        assert np.allclose(flipped.T @ [0, 0, 1], -(rot.T @ [0, 0, 1]), atol=1e-12)
+        eps = StrainTensor.from_matrix(random_symmetric(rng, 5e-5), Frame.LAB)
+        so = config.physics.spin_orbit
+        resp = []
+        for r in (rot, flipped):
+            eps_def = st.rotate_strain(eps, r, Frame.DEFECT)
+            ir_g = st.irreducible_components(eps_def, config.physics.susc_g)
+            ir_u = st.irreducible_components(eps_def, config.physics.susc_u)
+            resp.append((ir_g, st.level_response(ir_g, ir_u, so, nu0=0.0)))
+        (ir_a, a), (ir_b, b) = resp
+        assert ir_b.eps_a1g == pytest.approx(ir_a.eps_a1g, rel=1e-10)
+        assert ir_b.eps_egx == pytest.approx(ir_a.eps_egx, rel=1e-10)
+        assert ir_b.eps_egy == pytest.approx(-ir_a.eps_egy, rel=1e-10)
+        for field in ("nu_zpl", "delta_g", "delta_u", "nu_c"):
+            assert getattr(b, field) == pytest.approx(getattr(a, field),
+                                                      rel=1e-10, abs=1e-9)
+
+
 def _eg_magnitude(o, susc, eps_lab):
     rot = st.lab_to_defect(o)
     eps_def = st.rotate_strain(eps_lab, rot, Frame.DEFECT)
@@ -152,7 +200,6 @@ class TestStrainResponseSymmetry:
 
     def test_classes_differ_in_full_transition_shift(self, config, device):
         shifts = {o: None for o in ALL}
-        from dataclasses import replace
         template = config.emitter("axial_hinge")
         for o in ALL:
             emitter = replace(template, orientation=o)
