@@ -29,7 +29,7 @@ from .control import run_stabilization, summarize_log
 from .emitters import TuningCurve, shift_from_voltage_chain
 from .errors import (ConfigError, ContractError, DomainError, InputError,
                      RangeError)
-from .spectroscopy import (cdf_and_window, effective_linewidth, format_column,
+from .spectroscopy import (cdf_and_window, effective_linewidth,
                            sample_inhomogeneous, scan_to_csv, simulate_ple)
 # the writers keep the cli's own names, which bench/tracing.py wraps
 from .spectroscopy import write_csv as _write_csv, write_json as _write_json
@@ -103,10 +103,9 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         _parallel_map(_tune_one, [(cfg, n, voltages) for n in names], jobs))
     path = out / "tune_curve.csv"
     _write_csv(path, _provenance(cfg, "tune-curve", seed),
-               ["emitter", "bias_V", "shift_GHz", "fwhm_MHz"],
-               [[n for n in names for _ in range(ns.steps)],
-                format_column(voltages) * len(names),
-                format_column(shift), format_column(fwhm)])
+               {"emitter": [n for n in names for _ in range(ns.steps)],
+                "bias_V": np.tile(voltages, len(names)),
+                "shift_GHz": shift, "fwhm_MHz": fwhm})
     print(f"wrote {path}")
     return 0
 
@@ -198,8 +197,7 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 
     cdf_path = out / "inhomo_cdf.csv"
     _write_csv(cdf_path, _provenance(cfg, "inhomo", seed) + [f"source={origin}"],
-               ["frequency_GHz", "cdf"],
-               [format_column(result.values), format_column(result.cdf)])
+               {"frequency_GHz": result.values, "cdf": result.cdf})
     summary = {
         "n_resonances": int(result.values.size),
         "window_GHz": ns.window,
@@ -243,19 +241,17 @@ def _stabilize_one(args) -> tuple[str, dict]:
     head = _provenance(cfg, "stabilize", run_seed)
     upd_path = out / f"stabilize_updates_{tag}.csv"
     _write_csv(upd_path, head,
-               ["time_s", "dc_voltage_V", "error_GHz", "lockin_valid", "cr_pass"],
-               [format_column(log.update_time_s), format_column(log.dc_voltage_v),
-                format_column(log.error_ghz, blank_nan=True),
-                format_column(log.lockin_valid), format_column(log.cr_pass)])
+               {"time_s": log.update_time_s, "dc_voltage_V": log.dc_voltage_v,
+                "error_GHz": log.error_ghz, "lockin_valid": log.lockin_valid,
+                "cr_pass": log.cr_pass},
+               blank_nan=("error_GHz",))
     scan_path = out / f"stabilize_scans_{tag}.csv"
     _write_csv(scan_path, head,
-               ["time_s", "fitted_center_GHz", "fitted_fwhm_MHz", "converged",
-                "true_center_GHz"],
-               [format_column(log.scan_time_s),
-                format_column(log.scan_center_ghz, blank_nan=True),
-                format_column(log.scan_fwhm_mhz, blank_nan=True),
-                format_column(log.scan_converged),
-                format_column(log.scan_true_center_ghz)])
+               {"time_s": log.scan_time_s, "fitted_center_GHz": log.scan_center_ghz,
+                "fitted_fwhm_MHz": log.scan_fwhm_mhz,
+                "converged": log.scan_converged,
+                "true_center_GHz": log.scan_true_center_ghz},
+               blank_nan=("fitted_center_GHz", "fitted_fwhm_MHz"))
     _write_json(out / f"stabilize_summary_{tag}.json", summary)
     return str(upd_path), summary
 
@@ -298,10 +294,9 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> 
                         for p in pulses for c in cooldowns])
     path = out / "pulse_calibration.csv"
     _write_csv(path, _provenance(cfg, "calibrate-pulse", seed),
-               ["pulse_us", "cooldown_us", "offset_GHz", "safe"],
-               [[cell for cell in format_column(pulses) for _ in cooldowns],
-                format_column(cooldowns) * len(pulses),
-                format_column(offsets), format_column(offsets == 0.0)])
+               {"pulse_us": np.repeat(pulses, len(cooldowns)),
+                "cooldown_us": np.tile(cooldowns, len(pulses)),
+                "offset_GHz": offsets, "safe": offsets == 0.0})
     print(f"wrote {path}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
-from .errors import InputError
+from .errors import ContractError, InputError
 
 MHZ_PER_GHZ = 1000.0
 _LN2 = np.log(2.0)
@@ -403,27 +404,72 @@ def sample_inhomogeneous(n: int, cluster_sigma_ghz: float,
 # ---------------------------------------------------------------------------
 # Serialization: CSV with a JSON metadata sidecar.
 
-def format_column(values, blank_nan: bool = False) -> list[str]:
-    """CSV cells of one column in a single pass: integers and flags as decimal
-    integers, other values as ``%.12g``; ``blank_nan`` leaves NaN cells empty."""
-    values = np.asarray(values)
-    if values.dtype.kind in "biu":
-        return [str(int(c)) for c in values.tolist()]
-    floats = values.astype(float).tolist()
-    if blank_nan:
-        return ["" if x != x else "%.12g" % x for x in floats]
-    return list(map("%.12g".__mod__, floats))
+# rows formatted per ``%`` pass: bounds the cell values held at once
+_CSV_BLOCK_ROWS = 4096
+# cells csv.writer's QUOTE_MINIMAL encloses in double quotes
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-def write_csv(path: Path, header_lines: list[str], columns: list[str],
-              cells: list[list[str]]) -> None:
-    """``# `` header lines, column names, then rows from per-column ``cells``."""
+def _csv_quote(text: str) -> str:
+    """A string cell as ``csv.writer`` writes it."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(name: str, values, blank_nan: bool) -> tuple[str, np.ndarray]:
+    """The printf conversion of one column and the values it formats.
+
+    Integers and flags print as decimal integers, other numbers as
+    ``%.12g`` and strings quoted as csv does; with ``blank_nan`` NaN cells
+    are left empty.
+    """
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind in "biu":
+        return "%d", array
+    if kind == "f":
+        array = array.astype(float, copy=False)
+        if blank_nan and np.isnan(array).any():
+            return "%s", np.array(["" if x != x else "%.12g" % x
+                                   for x in array.tolist()], dtype=object)
+        return "%.12g", array
+    if kind in "UO":
+        # the cells come from ``values``: numpy's str dtype drops trailing NULs
+        cells = np.array(values, dtype=object).tolist()
+        return "%s", np.array([_csv_quote(str(x)) for x in cells], dtype=object)
+    raise ContractError(f"CSV column {name!r} has unsupported dtype {array.dtype}")
+
+
+def write_csv(path: Path, header_lines: list[str], columns: dict,
+              blank_nan: tuple[str, ...] = ()) -> None:
+    """``# `` header lines, the column names, then one row per index of the
+    1-D ``columns`` (name -> values), in csv's dialect.
+
+    The body is formatted in full, one row template per block of rows,
+    before the file is opened, so a bad column leaves no file behind.
+    """
+    cols = [_csv_column(name, values, name in blank_nan)
+            for name, values in columns.items()]
+    if len({values.shape for _, values in cols}) != 1 or cols[0][1].ndim != 1:
+        raise ContractError("CSV columns must be 1-D and of equal length: " + ", ".join(
+            f"{name} {values.shape}" for name, (_, values) in zip(columns, cols)))
+    width = len(cols)
+    if width == 1 and cols[0][0] == "%s":  # csv quotes a lone empty field
+        lone = cols[0][1]
+        lone[lone == ""] = '""'
+    header = ",".join(map(_csv_quote, columns)) or '""'
+    row = ",".join(conv for conv, _ in cols) + "\r\n"
+    n_rows = len(cols[0][1])
+    blocks = [f"# {line}\n" for line in header_lines] + [header + "\r\n"]
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        cells = [None] * ((stop - start) * width)
+        for j, (_, values) in enumerate(cols):
+            cells[j::width] = values[start:stop].tolist()
+        blocks.append(row * (stop - start) % tuple(cells))
     with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        fh.writelines(blocks)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -437,12 +483,10 @@ def scan_to_csv(scan: ScanRecord, path: str | Path,
     """Write a scan as CSV (detuning_GHz, counts[, expected]) plus sidecar."""
     path = Path(path)
     counts_are_int = np.issubdtype(np.asarray(scan.counts).dtype, np.integer)
-    columns = ["detuning_GHz", "counts"]
-    cells = [format_column(scan.detunings), format_column(scan.counts)]
+    columns = {"detuning_GHz": scan.detunings, "counts": scan.counts}
     if include_expected and scan.expected is not None:
-        columns.append("expected_counts")
-        cells.append(format_column(scan.expected))
-    write_csv(path, header_lines or [], columns, cells)
+        columns["expected_counts"] = scan.expected
+    write_csv(path, header_lines or [], columns)
     meta = {
         "counts_kind": "int" if counts_are_int else "float",
         "dwell_s": scan.dwell_s,

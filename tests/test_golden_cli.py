@@ -4,10 +4,13 @@ Each digest is the SHA-256 of one output file (CSV, JSON summary or scan
 sidecar).  A change to number formatting, quoting, line endings, headers or
 sidecars moves at least one of them.  The ``dim`` stabilize run uses an
 emitter so faint that some lock-in probes see no photons, so its updates
-file has empty error cells.
+file has empty error cells.  The ``quoted`` tune-curve run renames two
+emitters to ids that csv must quote (a comma with double quotes, and a line
+break); its digest was taken from ``csv.writer`` output.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -19,10 +22,13 @@ from snvtune.config import default_config_text
 
 SEED = "7"
 DIM_CONFIG = "{dim}"
+QUOTED_CONFIG = "{quoted}"
+QUOTED_IDS = {"axial_hinge": 'hinge, "A"', "axial_mid": "mid\r\nB"}
 
 RUNS = {
     "tune-curve": ["tune-curve", "--steps", "9"],
     "tune-curve-jobs": ["--jobs", "2", "tune-curve", "--steps", "9"],
+    "tune-curve-quoted": ["--config", QUOTED_CONFIG, "tune-curve", "--steps", "9"],
     "ple": ["ple", "--emitter", "axial_hinge", "--bias", "0,41", "--points", "21"],
     "ple-expected": ["--expected-value", "ple", "--emitter", "transversal_hinge",
                      "--bias", "0,41", "--points", "21"],
@@ -44,6 +50,10 @@ TUNE_CURVE = {
 GOLDEN = {
     "tune-curve": TUNE_CURVE,
     "tune-curve-jobs": TUNE_CURVE,
+    "tune-curve-quoted": {
+        "tune_curve.csv":
+            "2b83c98d17b4d37016d8347541e1c190ab0608ab47940ce73bec6c55cdb951ca",
+    },
     "calibrate-pulse": {
         "pulse_calibration.csv":
             "97463befa15d96093b23e806aca7b8b5f3d41a80dd58100628f456b3dfd9a7e3",
@@ -117,11 +127,21 @@ def dim_config_text() -> str:
     return json.dumps(doc, indent=1)
 
 
+def quoted_config_text() -> str:
+    """Default config with the ``QUOTED_IDS`` renames."""
+    doc = json.loads(default_config_text())
+    for emitter in doc["emitters"]:
+        emitter["id"] = QUOTED_IDS.get(emitter["id"], emitter["id"])
+    return json.dumps(doc, indent=1)
+
+
 def file_digests(tmp_path, label) -> dict[str, str]:
-    dim = tmp_path / "dim.json"
-    dim.write_text(dim_config_text(), encoding="utf-8")
+    configs = {"dim": dim_config_text(), "quoted": quoted_config_text()}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    argv = [a.format(dim=dim) for a in RUNS[label]]
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in configs})
+            for a in RUNS[label]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--out", str(out), "--seed", SEED, *argv]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -139,3 +159,15 @@ def test_dim_run_writes_empty_error_cells(tmp_path):
         encoding="utf-8").splitlines()
     assert any(",," in line and line.endswith(",0,0") for line in lines)
     assert any(line.endswith(",1,1") for line in lines)
+
+
+def test_quoted_emitter_ids_read_back(tmp_path):
+    file_digests(tmp_path, "tune-curve-quoted")
+    with (tmp_path / "out" / "tune_curve.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["emitter", "bias_V", "shift_GHz", "fwhm_MHz"]
+    names = [row[0] for row in rows[1:]]
+    assert all(len(row) == 4 for row in rows)
+    assert names == [QUOTED_IDS.get(n, n) for n in
+                     ("axial_hinge", "axial_mid", "transversal_hinge",
+                      "bulk_reference") for _ in range(9)]

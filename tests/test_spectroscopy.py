@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,9 +15,9 @@ from hypothesis import strategies as hyp
 import snvtune as st
 from snvtune import spectroscopy
 from snvtune.spectroscopy import (best_window_fraction, count_rate,
-                                  empirical_cdf, format_column,
-                                  sample_inhomogeneous, sample_scan,
-                                  scan_from_csv, scan_to_csv)
+                                  empirical_cdf, sample_inhomogeneous,
+                                  sample_scan, scan_from_csv, scan_to_csv,
+                                  write_csv)
 
 from oracles import (central_difference_jacobian, fisher_center_sigma,
                      fit_line_finite_difference)
@@ -482,39 +484,124 @@ class TestSerialization:
         assert scan_from_csv(path).counts.dtype == np.int64
 
 
-class TestFormatColumn:
-    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf,
-                   np.nan, 0.1, 1e-5, 123456789012.5, 1.0 / 3.0]
+def csv_writer_reference(header_lines, columns, blank_nan=()) -> bytes:
+    """The bytes ``csv.writer`` gives for per-cell strings: ``%.12g`` floats,
+    decimal integers, 0/1 flags, empty cells for blanked NaN."""
+    def cells(name, values):
+        arr = np.asarray(values)
+        if arr.dtype.kind in "biu":
+            return [str(int(c)) for c in arr.tolist()]
+        if arr.dtype.kind == "f":
+            return ["" if name in blank_nan and x != x else f"{x:.12g}"
+                    for x in arr.astype(float).tolist()]
+        return [str(x) for x in values]
 
-    @staticmethod
-    def reference(x) -> str:
-        return f"{float(x):.12g}"
+    buf = io.StringIO(newline="")
+    for line in header_lines:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf)
+    writer.writerow(list(columns))
+    writer.writerows(zip(*(cells(n, v) for n, v in columns.items())))
+    return buf.getvalue().encode("utf-8")
 
-    @settings(deadline=None, max_examples=300)
-    @given(values=hyp.lists(hyp.floats(allow_nan=True, allow_infinity=True,
-                                       allow_subnormal=True), max_size=40))
-    def test_matches_per_value_format_for_python_floats(self, values):
-        values = values + self.EDGE_FLOATS
-        assert format_column(values) == [self.reference(x) for x in values]
 
-    @settings(deadline=None, max_examples=300)
-    @given(values=hyp.lists(hyp.floats(allow_nan=True, allow_infinity=True,
-                                       allow_subnormal=True), max_size=40))
-    def test_matches_per_value_format_for_float64_arrays(self, values):
-        arr = np.array(values + self.EDGE_FLOATS, dtype=np.float64)
-        assert format_column(arr) == [self.reference(x) for x in arr]
-        assert format_column(arr, blank_nan=True) == [
-            "" if np.isnan(x) else self.reference(x) for x in arr]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf,
+               np.nan, 0.1, 1e-5, 123456789012.5, 1.0 / 3.0]
+INT64_EDGES = [0, -1, 2 ** 63 - 1, -2 ** 63]
+SPECIAL_TEXT = ["", "plain", 'hinge, "A"', "a\r\nb", "\n", "\r", '"', ",",
+                " padded ", "nul\x00", "%s%d", "ünï"]
+FLOATS = hyp.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
-    @settings(deadline=None, max_examples=200)
-    @given(counts=hyp.lists(hyp.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
-    def test_int64_counts_print_as_integers(self, counts):
-        arr = np.array(counts + [0, -1, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)
-        assert format_column(arr) == [str(int(c)) for c in arr]
 
-    def test_flags_print_as_zero_and_one(self):
-        assert format_column(np.array([True, False, True])) == ["1", "0", "1"]
+@hyp.composite
+def csv_tables(draw):
+    """Equal-length typed columns of every kind the writer takes."""
+    n = draw(hyp.integers(0, 12))
+
+    def cells(strategy):
+        return draw(hyp.lists(strategy, min_size=n, max_size=n))
+
+    columns, blank_nan = {}, []
+    for j in range(draw(hyp.integers(1, 4))):
+        name = draw(hyp.sampled_from(SPECIAL_TEXT) | hyp.text(max_size=4)) + str(j)
+        kind = draw(hyp.sampled_from(
+            ["float", "float-list", "blank", "int", "flag", "text"]))
+        float_cells = FLOATS | hyp.sampled_from(EDGE_FLOATS)
+        if kind == "float":
+            columns[name] = np.array(cells(float_cells), dtype=np.float64)
+        elif kind == "float-list":
+            columns[name] = cells(float_cells)
+        elif kind == "blank":
+            columns[name] = np.array(cells(float_cells), dtype=np.float64)
+            blank_nan.append(name)
+        elif kind == "int":
+            columns[name] = np.array(cells(
+                hyp.integers(-2 ** 63, 2 ** 63 - 1) | hyp.sampled_from(INT64_EDGES)),
+                dtype=np.int64)
+        elif kind == "flag":
+            columns[name] = np.array(cells(hyp.booleans()), dtype=bool)
+        else:
+            columns[name] = cells(hyp.text() | hyp.sampled_from(SPECIAL_TEXT))
+    return columns, tuple(blank_nan)
+
+
+class TestWriteCsv:
+    HEADER = ["tool=snvtune", "seed=7"]
+
+    def written(self, tmp_path, columns, blank_nan=()) -> bytes:
+        path = tmp_path / "table.csv"
+        write_csv(path, self.HEADER, columns, blank_nan=blank_nan)
+        return path.read_bytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(table=csv_tables())
+    def test_matches_csv_writer_over_per_cell_strings(self, tmp_path_factory, table):
+        columns, blank_nan = table
+        assert self.written(tmp_path_factory.mktemp("csv"), columns, blank_nan) == \
+            csv_writer_reference(self.HEADER, columns, blank_nan)
+
+    @pytest.mark.parametrize("values, blank_nan", [
+        (EDGE_FLOATS, False),
+        (np.array(EDGE_FLOATS), False),
+        (np.array(EDGE_FLOATS), True),
+        (np.array([0.1, -0.0, 1e-45, 3.4e38, np.inf, np.nan], dtype=np.float32),
+         False),
+        (np.array(INT64_EDGES, dtype=np.int64), False),
+        (np.array([True, False, True]), False),
+        (SPECIAL_TEXT, False),
+        (np.array([], dtype=float), False),
+        (np.array([np.nan]), True),
+    ], ids=["float-list", "float64", "float64-blank-nan", "float32", "int64",
+            "flags", "text", "no-rows", "one-blank-row"])
+    def test_edge_cells_match_csv_writer(self, tmp_path, values, blank_nan):
+        columns = {"index": np.arange(len(values)), "value": values}
+        blank = ("value",) if blank_nan else ()
+        assert self.written(tmp_path, columns, blank) == \
+            csv_writer_reference(self.HEADER, columns, blank)
+
+    def test_flags_print_as_zero_and_one(self, tmp_path):
+        lines = self.written(tmp_path, {"flag": np.array([True, False, True])})
+        assert lines.splitlines()[-3:] == [b"1", b"0", b"1"]
+
+    def test_lone_empty_field_is_quoted_like_csv(self, tmp_path):
+        columns = {"": ["", "a", ""]}
+        assert self.written(tmp_path, columns).endswith(b'""\r\n""\r\na\r\n""\r\n')
+        assert self.written(tmp_path, columns) == \
+            csv_writer_reference(self.HEADER, columns)
+
+    @pytest.mark.parametrize("columns", [
+        {"a": np.arange(3.0), "b": np.arange(2)},
+        {"a": [1.0, 2.0], "b": ["x", "y", "z"]},
+        {"a": np.zeros((2, 2))},
+        {"a": np.array([1 + 2j])},
+        {},
+    ], ids=["short-int", "long-text", "2-d", "complex", "no-columns"])
+    def test_bad_columns_raise_and_write_nothing(self, tmp_path, columns):
+        path = tmp_path / "table.csv"
+        with pytest.raises(st.ContractError):
+            write_csv(path, self.HEADER, columns)
+        assert not path.exists()
 
 
 class TestScanRecordInvariants:
