@@ -212,7 +212,7 @@ class RunConfig:
         try:
             return self.emitters[name]
         except KeyError:
-            known = ", ".join(sorted(self.emitters))
+            known = ", ".join(map(repr, sorted(self.emitters)))
             raise InputError(f"unknown emitter id {name!r}; known ids: {known}") from None
 
 

@@ -184,43 +184,60 @@ def _linewidth_ghz(emitter: EmitterModel, shift_ghz: float) -> float:
     return effective_linewidth(emitter, shift_ghz) / MHZ_PER_GHZ
 
 
-class _LockIn:
-    """Per-run constants of the gate-modulated probe of one emitter.
+def _phase_groups(b: int, n: int) -> list[list[int]]:
+    """Bins 0..n-1 of a probe grouped by modulation phase 2*pi*(k + 1/2)/b,
+    in order of first bin: bins k and k' share sin(phase) when k = k' (mod b)
+    and, for even b, when k' = b/2 - 1 - k (mod b), as sin(pi - x) = sin(x)."""
+    groups: dict[int, list[int]] = {}
+    for k in range(n):
+        j = k % b
+        if b % 2 == 0:
+            j = min(j, (b // 2 - 1 - j) % b)
+        groups.setdefault(j, []).append(k)
+    return list(groups.values())
 
-    Holds the tuning curve's array path with its row constants, the probe
-    table and the emitter's rates and bin time as 0-d arrays, so a probe
-    costs only its ufunc calls.
+
+class _LockIn:
+    """The gate-modulated probe of one emitter, one draw per phase group.
+
+    Bias and drift are constant within a probe, so the m bins of a
+    :func:`_phase_groups` group expect equal counts and their sum is one
+    Poisson draw over m bin times.  ``groups`` holds (bias offset in V, sin
+    weight, span in s) per group as Python floats, for the scalar paths of
+    ``TuningCurve.shift`` and ``count_rate``.
     """
 
-    __slots__ = ("_shift", "_consts", "_offsets_v", "_weights", "_peak",
-                 "_background", "_t_bin")
+    __slots__ = ("groups", "_shift", "_peak", "_background")
 
     def __init__(self, emitter: EmitterModel, curve: TuningCurve, cfg: LockInConfig):
-        n = cfg.periods_per_probe * cfg.bins_per_period
-        sin = np.sin(2.0 * np.pi * (np.arange(n) + 0.5) / cfg.bins_per_period)
-        offsets_v = cfg.mod_amp_v * sin
-        self._shift = curve._shift_rows
-        self._consts = curve._row_constants(n)
-        self._offsets_v = np.stack([offsets_v, offsets_v])
-        self._weights = np.stack([np.ones_like(sin), sin])
-        self._peak = np.asarray(float(emitter.peak_rate))
-        self._background = np.asarray(float(emitter.background_rate))
-        self._t_bin = np.asarray(cfg.probe_duration_s / n)
+        b = cfg.bins_per_period
+        n = cfg.periods_per_probe * b
+        self.groups = []
+        for bins in _phase_groups(b, n):
+            sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
+            self.groups.append((cfg.mod_amp_v * sin, sin,
+                                len(bins) * (cfg.probe_duration_s / n)))
+        self._shift = curve.shift
+        self._peak = float(emitter.peak_rate)
+        self._background = float(emitter.background_rate)
 
-    def expected(self, dc_voltage: float, drift_ghz: float, target_ghz,
-                 fwhm_ghz: float) -> np.ndarray:
-        """Expected counts per phase bin under bias modulation.
+    def probe(self, dc_voltage: float, drift_ghz: float, target_ghz: float,
+              fwhm_ghz: float, poisson=None) -> tuple[float, float]:
+        """Total counts and first-harmonic (sin-weighted) sum of one probe.
 
         ``fwhm_ghz`` is the linewidth at the DC bias, which the caller shares
-        with the CR check.
+        with the CR check.  ``poisson`` (a generator's) draws each group's
+        counts in group order; None sums the expected counts.
         """
-        line = self._shift(dc_voltage + self._offsets_v, self._consts) + drift_ghz
-        return count_rate(self._peak, self._background, target_ghz - line,
-                          fwhm_ghz) * self._t_bin
-
-    def demodulate(self, counts) -> list[float]:
-        """Total counts and first-harmonic (sin-weighted) sum of one probe."""
-        return np.add.reduce(counts * self._weights, axis=1).tolist()
+        shift, peak, background = self._shift, self._peak, self._background
+        total = demod = 0.0
+        for offset_v, sin, span_s in self.groups:
+            line = shift(dc_voltage + offset_v) + drift_ghz
+            mean = span_s * count_rate(peak, background, target_ghz - line, fwhm_ghz)
+            counts = mean if poisson is None else poisson(mean)
+            total += counts
+            demod += sin * counts
+        return total, demod
 
 
 @dataclass(frozen=True)
@@ -251,15 +268,14 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     raw demodulated counts into a frequency error, exactly what a hardware
     lock-in calibration sweep would measure.
     """
-    lockin = _LockIn(state.emitter, curve, cfg)
-    shift = curve.shift(state.dc_voltage)
+    probe, dc = _LockIn(state.emitter, curve, cfg).probe, state.dc_voltage
+    shift = curve.shift(dc)
     fwhm_ghz = _linewidth_ghz(state.emitter, shift)
     h = fwhm_ghz / 100.0
     on_res = target_ghz - shift
 
     def demod(drift_ghz):
-        return lockin.demodulate(lockin.expected(state.dc_voltage, drift_ghz,
-                                                 target_ghz, fwhm_ghz))[1]
+        return probe(dc, drift_ghz, target_ghz, fwhm_ghz)[1]
 
     zero, plus, minus = demod(on_res), demod(on_res + h), demod(on_res - h)
     return LockInCalibration(sensitivity=(plus - minus) / (2.0 * h),
@@ -275,14 +291,14 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     Photon counts are accumulated in phase bins of the bias modulation and
     correlated with sin(phase); after zero-offset subtraction the first
     harmonic is zero on resonance and odd in the detuning.  ``rng`` draws
-    Poisson counts; None gives the noise-free expected-value estimate.  Zero
-    total counts flags the result invalid (the caller holds the last
-    voltage).
+    Poisson counts, one per group of bins that share a phase; None gives the
+    noise-free expected-value estimate.  Zero total counts flags the result
+    invalid (the caller holds the last voltage).
     """
     fwhm_ghz = _linewidth_ghz(state.emitter, curve.shift(state.dc_voltage))
-    lockin = _LockIn(state.emitter, curve, cfg)
-    expected = lockin.expected(state.dc_voltage, state.drift_ghz, target_ghz, fwhm_ghz)
-    total, demod = lockin.demodulate(expected if rng is None else rng.poisson(expected))
+    total, demod = _LockIn(state.emitter, curve, cfg).probe(
+        state.dc_voltage, state.drift_ghz, target_ghz, fwhm_ghz,
+        None if rng is None else rng.poisson)
     if total <= 0.0 or calibration.sensitivity == 0.0:
         return LockInResult(error_ghz=0.0, valid=False)
     return LockInResult(error_ghz=calibration.error(demod), valid=True)
@@ -445,8 +461,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     x = drift.state_ghz  # drift offset; the caller's process is untouched
     if feedback:
         lockin = _LockIn(emitter, curve, lockin_cfg)
-        # the line's peak rate over the longer of a lock-in bin and a CR probe
-        probe_s = max(float(lockin._t_bin), cr_cfg.probe_duration_s)
+        # the line's peak rate over its longest draw: a lock-in group or a CR probe
+        probe_s = max(cr_cfg.probe_duration_s, *(span for *_, span in lockin.groups))
         if not (emitter.peak_rate + emitter.background_rate) * probe_s <= _POISSON_LAM_MAX:
             raise ConfigError(f"emitter {emitter.name!r}: count rates give probe counts "
                               f"above the Poisson sampler's limit of {_POISSON_LAM_MAX:.3g}")
@@ -456,9 +472,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             raise ConfigError(
                 "lock-in sensitivity vanishes at the operating point; "
                 "increase the operating voltage or modulation amplitude")
-        expected, demodulate = lockin.expected, lockin.demodulate
-        poisson, error_of = lockin_rng.poisson, calibration.error
-        shift, target_0d = curve.shift, np.asarray(target)
+        probe, poisson, error_of = lockin.probe, lockin_rng.poisson, calibration.error
+        shift = curve.shift
         peak, background = emitter.peak_rate, emitter.background_rate
         pid_state = PIDState()
     drift_terms = drift._step_terms(dt)
@@ -484,7 +499,7 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
         if feedback:
             shift_dc = shift(dc)
             fwhm_ghz = _linewidth_ghz(emitter, shift_dc)
-            total, demod = demodulate(poisson(expected(dc, x, target_0d, fwhm_ghz)))
+            total, demod = probe(dc, x, target, fwhm_ghz, poisson)
             passed = _cr_probe(count_rate(peak, background, target - (shift_dc + x),
                                           fwhm_ghz), cr_cfg, cr_rng)[0]
             # The CR check heralds the resonance condition for the scans;

@@ -146,7 +146,11 @@ class TuningCurve:
             return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
                     + 0.5 * (delta_g - self._lam_g))
         v = np.asarray(v, dtype=float)
-        out = self._shift_rows(v.reshape(1, -1), self._array_operands()).reshape(v.shape)
+        scale, da1g, c, lam2, lam = self._array_operands()
+        row = v.reshape(1, -1)
+        s = scale * (row * row)
+        half = _HALF * (np.sqrt(lam2 + c * (s * s)) - lam)
+        out = (s[0] * da1g - half[1] + half[0]).reshape(v.shape)
         return float(out) if v.ndim == 0 else out
 
     def _array_operands(self) -> tuple[np.ndarray, ...]:
@@ -160,22 +164,3 @@ class TuningCurve:
                                         [[self._lam_g2], [self._lam_u2]],
                                         [[self._lam_g], [self._lam_u]]]))
         return self._columns
-
-    def _row_constants(self, n: int) -> tuple[np.ndarray, ...]:
-        """:meth:`_array_operands` with the columns repeated to (2, ``n``)
-        arrays, so a frame-rate caller of a fixed length skips numpy's
-        broadcasting."""
-        scale, da1g, *cols = self._array_operands()
-        return (scale, da1g, *(np.repeat(col, n, axis=1) for col in cols))
-
-    def _shift_rows(self, v_rows: np.ndarray, consts: tuple) -> np.ndarray:
-        """Array path of :meth:`shift` for n voltages.
-
-        ``v_rows`` is (1, n) with :meth:`_array_operands`, or (2, n)
-        holding the voltages in both rows with :meth:`_row_constants` ``(n)``.
-        Each element sees the scalar path's operations in the same order.
-        """
-        scale, da1g, c, lam2, lam = consts
-        s = scale * (v_rows * v_rows)
-        half = _HALF * (np.sqrt(lam2 + c * (s * s)) - lam)
-        return s[0] * da1g - half[1] + half[0]

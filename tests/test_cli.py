@@ -279,6 +279,23 @@ class TestStabilize:
         assert "error: " in err and "Poisson" in err and "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_lockin_group_beyond_poisson_limit_exit_2(self, tmp_path, capsys):
+        # One lock-in bin (3.125 ms) and the 1 ms CR probe stay under the
+        # sampler's limit of about 9.2e18 counts, but a phase group draws
+        # four bins (12.5 ms) at once: 1.25e19 counts.
+        doc = json.loads(default_config_text())
+        emitter = next(e for e in doc["emitters"] if e["id"] == "axial_hinge")
+        emitter["peak_rate"]["value"] = 1e21
+        doc["control"]["cr_check"]["probe_duration"]["value"] = 0.001
+        path = tmp_path / "bright.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", path, "stabilize",
+                       "--duration", "10", "--scans", "1") == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Poisson" in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_multi_seed_jobs(self, tmp_path):
         assert run_cli("--out", tmp_path, "--jobs", "2", "stabilize",
                        "--duration", "240", "--scans", "1",

@@ -9,11 +9,12 @@ from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune.control import (CRCheckConfig, DriftProcess, EmitterState,
-                             LockInConfig, PIDConfig, PIDState,
-                             calibrate_lockin, cr_check, lockin_error,
-                             pid_update, summarize_log, summed_scan)
+                             LockInConfig, PIDConfig, PIDState, _LockIn,
+                             _phase_groups, calibrate_lockin, cr_check,
+                             lockin_error, pid_update, summarize_log,
+                             summed_scan)
 from snvtune.emitters import TuningCurve, shift_from_voltage_chain
-from snvtune.spectroscopy import effective_linewidth
+from snvtune.spectroscopy import count_rate, effective_linewidth
 
 from oracles import (fisher_center_sigma, ou_jump_mc_std,
                      reference_stabilization, trapezoid)
@@ -191,6 +192,74 @@ class TestLockInError:
                                 calibration=cal).error_ghz
         stderr = np.std(ests, ddof=1) / np.sqrt(len(ests))
         assert np.mean(ests) == pytest.approx(expected, abs=4.0 * stderr)
+
+
+class TestPhaseGroups:
+    """The lock-in probe draws one Poisson count per group of bins that share
+    a modulation phase; these tests hold it to the per-bin probe it replaces."""
+
+    @staticmethod
+    def per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz):
+        """sin weight and expected counts of every bin, through the array path
+        of ``TuningCurve.shift`` and ``count_rate``."""
+        n = lk.periods_per_probe * lk.bins_per_period
+        sin = np.sin(2.0 * np.pi * (np.arange(n) + 0.5) / lk.bins_per_period)
+        line = curve.shift(v_op + lk.mod_amp_v * sin) + drift
+        lam = count_rate(emitter.peak_rate, emitter.background_rate,
+                         target - line, fwhm_ghz) * (lk.probe_duration_s / n)
+        return sin, lam
+
+    @given(name=hyp.sampled_from(["axial_hinge", "axial_mid", "transversal_hinge"]),
+           bins=hyp.integers(4, 24), periods=hyp.integers(1, 3),
+           amp=hyp.floats(0.01, 1.0), v_op=hyp.floats(10.0, 75.0),
+           drift=hyp.floats(-1.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_groups_match_the_per_bin_probe(self, config, device, name, bins,
+                                            periods, amp, v_op, drift):
+        emitter = config.emitter(name)
+        curve = TuningCurve(emitter, device)
+        lk = replace(config.control.lockin, bins_per_period=bins,
+                     periods_per_probe=periods, mod_amp_v=amp)
+        n = bins * periods
+        members = _phase_groups(bins, n)
+        assert sorted(k for group in members for k in group) == list(range(n))
+        lockin = _LockIn(emitter, curve, lk)
+        assert len(lockin.groups) == len(members)
+        for group, (offset_v, sin, span_s) in zip(members, lockin.groups):
+            # a bin's phase within its modulation period
+            phase = 2.0 * np.pi * (np.asarray(group) % bins + 0.5) / bins
+            assert np.all(np.abs(np.sin(phase) - sin) <= 1e-15)
+            assert offset_v == amp * sin
+            assert span_s == pytest.approx(len(group) * lk.probe_duration_s / n,
+                                           rel=1e-15)
+        target = curve.shift(v_op)
+        fwhm_ghz = effective_linewidth(emitter, target) / 1000.0
+        sin, lam = self.per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz)
+        total, demod = lockin.probe(v_op, drift, target, fwhm_ghz)
+        assert total == pytest.approx(np.sum(lam), rel=1e-12)
+        # the demodulated sum cancels to near zero on resonance: compare on
+        # the scale of its terms
+        assert abs(demod - np.sum(sin * lam)) <= 1e-12 * np.sum(np.abs(sin * lam))
+
+    def test_draws_match_per_bin_poisson_moments(self, lock_setup):
+        cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
+        lk = cfg.control.lockin
+        fwhm_ghz = effective_linewidth(emitter, target) / 1000.0
+        drift = fwhm_ghz / 4.0
+        probe = _LockIn(emitter, curve, lk).probe
+        rng = np.random.default_rng(2024)
+        n_probes = 20_000
+        draws = np.array([probe(v_op, drift, target, fwhm_ghz, rng.poisson)
+                          for _ in range(n_probes)])
+        sin, lam = self.per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz)
+        # a weighted sum of independent Poisson counts: mean sum(w*lam),
+        # variance sum(w^2*lam), fourth cumulant sum(w^4*lam)
+        for col, w in ((draws[:, 0], 1.0), (draws[:, 1], sin)):
+            mean, var = np.sum(w * lam), np.sum(w ** 2 * lam)
+            kappa4 = np.sum(w ** 4 * lam)
+            assert abs(np.mean(col) - mean) <= 4.0 * math.sqrt(var / n_probes)
+            assert abs(np.var(col, ddof=1) - var) <= 4.0 * math.sqrt(
+                (2.0 * var ** 2 + kappa4) / n_probes)
 
 
 class TestCRCheck:
@@ -426,13 +495,28 @@ class TestRunStabilization:
         assert self._digest(golden_log, (
             "dc_voltage_v", "error_ghz", "lockin_valid", "cr_pass",
             "scan_true_center_ghz")) == (
-            "5f2eb07cb894be44f3bbd45dc0a2c11f1e51a2e6fe7af4ef66549c3d436e36ae")
+            "62d2fa460bd31b61907ab0c4a4f43faf3080b0f9d767eeb5fb85b0b58d87db69")
 
     def test_golden_fit_digest(self, golden_log):
         # The fitted scan columns of the same run: a change to the fit's
         # solver or rounding moves only these.
         assert self._digest(golden_log, ("scan_center_ghz", "scan_fwhm_mhz")) == (
-            "10123c4b46c525b9cecf79ad3f8505b0753b859e9de40c937c3cc3109ae2dc66")
+            "c63bfb1d8f7e5b2dd19f7a6b7029ffc427d55bcef0ea59b6238e4501d2c2bde2")
+
+    def test_golden_free_running_digest(self, config, axial, device):
+        # Every array of the same run without feedback: only the drift and
+        # scan streams are drawn, so a change to the lock-in probe or its
+        # draws must leave this digest as is.
+        stab = replace(config.control.stabilization, duration_s=1800.0,
+                       n_scans=4, feedback=False)
+        log = st.run_stabilization(axial, device, config.control.drift,
+                                   config.control.lockin, config.control.pid,
+                                   config.control.cr_check, stab, seed=11)
+        assert self._digest(log, (
+            "update_time_s", "dc_voltage_v", "error_ghz", "lockin_valid",
+            "cr_pass", "scan_time_s", "scan_center_ghz", "scan_fwhm_mhz",
+            "scan_converged", "scan_true_center_ghz")) == (
+            "685be1d1bc57e7b8ef9cc80cae2e306378543167839b09e8658d7cd08ed5c9b2")
 
     def test_voltage_always_clamped(self, config, axial, device):
         pid = replace(config.control.pid, output_min=38.0, output_max=42.0)

@@ -9,6 +9,7 @@ emitters to ids that csv must quote (a comma with double quotes, and a line
 break); its digest was taken from ``csv.writer`` output.
 """
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -92,25 +93,25 @@ GOLDEN = {
     },
     "stabilize-dim": {
         "stabilize_scans_7.csv":
-            "811db62fae06675e550bbc448d8aefa91bdd867c04b6b8b9e24f8644a57274a0",
+            "c71f58c3a08950e1b464542ec313eef73c6094eb56f79347727c3141f135c4ee",
         "stabilize_summary_7.json":
-            "8145d7a1230bc63428d1f329951c9bed38b81e2e36b9723d04590a5063ab7f06",
+            "7e1cf0e4f1c1484b60ec908ed16e9aaa051b8edb8447f86ed09b5ba6d5a2d373",
         "stabilize_updates_7.csv":
-            "cb57fdb85af372b7c76838773c047136fdef36fc770d7a0b05b6af6a9ea69586",
+            "277a0fb442a1da749243a5ac2ac9a499077063b4941011558739c34a07a789b5",
     },
     "stabilize-seeds": {
         "stabilize_scans_7.csv":
-            "a677ec1aec12f45df2c7d8e33932bc056f495fe6fd2037bb00ad1594378e893e",
+            "9704548a627598bfdf7e008b37a15da35038b2c12eb99643163ad8a9484a3158",
         "stabilize_scans_8.csv":
-            "04b565555624f484e4f749fc2d06d33186715f131bf0a70d63db7dfe2f3d0d2c",
+            "d3c4edf56891a9da1bd205ba381009fc6bb1278dafbea9781cb1a034a146503a",
         "stabilize_summary_7.json":
-            "47aba04c5246278ae75ea5bac1cc1128fff11667626ab647ba62c252a92f1e22",
+            "42a449a15beb3eb8e997b65ddd0df221132ece489980c8e98037bd5a2c3c9d1f",
         "stabilize_summary_8.json":
-            "d56c0c3e0a47b928b3b4dbe8518d2750d1da30683cae4fff3d24dbbeb5266ddf",
+            "cf000ecd6444721880725cb18fd14ce377e689e562314219312db826704169ed",
         "stabilize_updates_7.csv":
-            "22085ed72e24b3c547dd544f11ae89314b5ddb3252130fdc73d8f29c820dff25",
+            "bc9b8a557c44ac0433e5fba7de0fcd330f43a874649af3722c84436165d306bb",
         "stabilize_updates_8.csv":
-            "c56d3b4bb68dc0f5dfca15cf2674bb69de049e59726f46d4f055121ded1bdd1e",
+            "410d027c6de66a778ab3513bf2008ffc5e17a732bf42486766635a69d6b2dbde",
     },
 }
 
@@ -171,3 +172,19 @@ def test_quoted_emitter_ids_read_back(tmp_path):
     assert names == [QUOTED_IDS.get(n, n) for n in
                      ("axial_hinge", "axial_mid", "transversal_hinge",
                       "bulk_reference") for _ in range(9)]
+
+
+def test_unknown_emitter_message_quotes_the_ids(tmp_path, capsys):
+    path = tmp_path / "quoted.json"
+    path.write_text(quoted_config_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--config", str(path), "tune-curve",
+                 "--emitters", "nope"]) == 2
+    err = capsys.readouterr().err
+    ids = sorted(QUOTED_IDS.get(n, n) for n in
+                 ("axial_hinge", "axial_mid", "transversal_hinge", "bulk_reference"))
+    # one line, and the listed ids read back as Python literals
+    head, listed = err.split("known ids: ")
+    assert head == "error: unknown emitter id 'nope'; " and err.count("\n") == 1
+    assert ast.literal_eval(f"[{listed}]") == ids
+    assert not list(out.iterdir())
