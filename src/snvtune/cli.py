@@ -61,6 +61,21 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """Argument converter for --jobs: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} workers")
+    return value
+
+
+def _finite_bias(v: float) -> float:
+    """A --bias value, refused as an input error unless finite."""
+    if not math.isfinite(v):
+        raise InputError(f"--bias: not a finite voltage: {v}")
+    return v
+
+
 def _number_list(text: str, kind, flag: str) -> list:
     """Comma-separated values of a command-line flag, each converted by ``kind``."""
     try:
@@ -125,7 +140,7 @@ def _ple_one(args) -> str:
 
 def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     emitter = cfg.emitter(ns.emitter)
-    voltages = _number_list(ns.bias, float, "--bias")
+    voltages = [_finite_bias(v) for v in _number_list(ns.bias, float, "--bias")]
     for v in voltages:
         if not 0.0 <= v <= cfg.device.calibration.v_max:
             raise RangeError(
@@ -260,6 +275,9 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     cfg.emitter(ns.emitter)
     if ns.seeds:
         run_seeds = _number_list(ns.seeds, non_negative_int, "--seeds")
+        if len(set(run_seeds)) < len(run_seeds):
+            # two runs of one seed would write the same files
+            raise InputError(f"--seeds: duplicate seed in {ns.seeds!r}")
     else:
         run_seeds = [seed]
     overrides = {"duration_s": ns.duration, "n_scans": ns.scans,
@@ -284,7 +302,7 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     pulses = _number_list(ns.pulses, float, "--pulses")
     cooldowns = _number_list(ns.cooldowns, float, "--cooldowns")
-    bias = ns.bias if ns.bias is not None else cfg.device.calibration.v_ref
+    bias = _finite_bias(ns.bias) if ns.bias is not None else cfg.device.calibration.v_ref
     if bias > cfg.device.calibration.v_max:
         raise RangeError(
             f"bias {bias} V outside [0, {cfg.device.calibration.v_max}] V")
@@ -315,8 +333,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="master seed (default: from config)")
     parser.add_argument("--out", type=Path, default=default(Path(".")),
                         help="output directory")
-    parser.add_argument("--jobs", type=int, default=default(1),
-                        help="parallel workers for independent tasks")
+    parser.add_argument("--jobs", type=positive_int, default=default(1),
+                        help="parallel workers for independent tasks (>= 1)")
     parser.add_argument("--expected-value", action="store_true",
                         default=default(False),
                         help="noise-free expected-value mode where supported")
@@ -402,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = ns.seed if ns.seed is not None else cfg.seed
         out = ns.out
         out.mkdir(parents=True, exist_ok=True)
-        return ns.func(cfg, ns, out, seed, max(1, ns.jobs))
+        return ns.func(cfg, ns, out, seed, ns.jobs)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

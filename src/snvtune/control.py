@@ -366,7 +366,6 @@ class StabilizationConfig:
     scan_points: int = 201
     scan_dwell_s: float = 0.005
     operating_voltage: float = 40.0
-    target_ghz: float | None = None   # None: the shift at the operating voltage
     feedback: bool = True
     scan_shape: str = "voigt"
 
@@ -441,16 +440,7 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     if pid_cfg.output_max + lockin_cfg.mod_amp_v > cal.v_max:
         raise ConfigError("bias modulation would exceed the actuator voltage limit")
 
-    target = stab.target_ghz
-    if target is None:
-        target = float(curve.shift(stab.operating_voltage))
-    else:
-        v_grid = np.linspace(0.0, cal.v_max, 512)
-        shifts = curve.shift(v_grid)
-        if not (float(np.min(shifts)) - 1e-9 <= target <= float(np.max(shifts)) + 1e-9):
-            raise ConfigError(
-                f"target {target:.3f} GHz outside the tuning range "
-                f"[{float(np.min(shifts)):.3f}, {float(np.max(shifts)):.3f}] GHz")
+    target = curve.shift(stab.operating_voltage)
 
     ss = np.random.SeedSequence(seed)
     drift_rng, lockin_rng, cr_rng, scan_rng = (np.random.default_rng(c)
@@ -514,11 +504,11 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
         if i >= due:
             if feedback and not passed:
                 continue  # wait for the next CR-passing frame
-            shift_now = float(curve.shift(dc))
-            fwhm_now = effective_linewidth(emitter, shift_now)
-            scan = sample_scan(emitter, scan_grid, shift_now, fwhm_now,
-                               stab.scan_dwell_s, dc, rng=scan_rng,
-                               extra_offset_ghz=x)
+            shift_now = curve.shift(dc)
+            line_now = shift_now + x
+            scan = sample_scan(emitter, scan_grid, line_now,
+                               effective_linewidth(emitter, shift_now),
+                               stab.scan_dwell_s, dc, rng=scan_rng)
             try:
                 fit = fit_line(scan, stab.scan_shape)
                 center, fwhm, converged = fit.center, fit.fwhm, fit.converged
@@ -528,7 +518,7 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             s_center.append(center)
             s_fwhm.append(fwhm)
             s_conv.append(converged)
-            s_true.append(shift_now + x)
+            s_true.append(line_now)
             scans.append(scan)
             next_scan += 1
             due = scan_due[next_scan]

@@ -92,9 +92,6 @@ def shift_from_voltage_chain(emitter: EmitterModel, device: DeviceModel,
     return level_response_at(emitter, device, v).nu_c - emitter.nu0
 
 
-_HALF = np.asarray(0.5)
-
-
 class TuningCurve:
     """Precomputed voltage-to-C-shift map for one emitter on one device.
 
@@ -123,44 +120,30 @@ class TuningCurve:
                 self._da1g = float((ir_u.eps_a1g - ir_g.eps_a1g) / s_ref)
                 self._c_g = float(4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2)
                 self._c_u = float(4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2)
-        # Python floats, so the scalar path below stays in math arithmetic
+        # Python floats, so the formula below stays in math arithmetic
         self._lam_g = float(emitter.spin_orbit.lambda_g)
         self._lam_u = float(emitter.spin_orbit.lambda_u)
         self._lam_g2 = self._lam_g ** 2
         self._lam_u2 = self._lam_u ** 2
-        self._columns = None  # array-path operands, built on first use
 
     def shift(self, v):
-        """C-transition shift in GHz for voltage ``v`` (vectorized).
+        """C-transition shift in GHz for voltage ``v``.
 
-        A Python number takes a ``math`` path that performs the array path's
-        operations in the same order, so scalar and array inputs give
-        identical values, bit for bit.
+        A Python number returns a float.  Any other input is read as an
+        array whose elements go one by one through the same formula, so
+        every element equals the scalar result bit for bit; the array keeps
+        its shape, and a 0-d one returns a float.
         """
-        if isinstance(v, (float, int)):
-            v = float(v)
-            s = self._scale_per_v2 * (v * v)  # local eps_xx
-            s2 = s * s
-            delta_g = math.sqrt(self._lam_g2 + self._c_g * s2)
-            delta_u = math.sqrt(self._lam_u2 + self._c_u * s2)
-            return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
-                    + 0.5 * (delta_g - self._lam_g))
-        v = np.asarray(v, dtype=float)
-        scale, da1g, c, lam2, lam = self._array_operands()
-        row = v.reshape(1, -1)
-        s = scale * (row * row)
-        half = _HALF * (np.sqrt(lam2 + c * (s * s)) - lam)
-        out = (s[0] * da1g - half[1] + half[0]).reshape(v.shape)
-        return float(out) if v.ndim == 0 else out
-
-    def _array_operands(self) -> tuple[np.ndarray, ...]:
-        """Operands of the array path: the strain scale and A1g coefficient as
-        0-d arrays, which ufuncs take faster than Python floats, then the
-        per-manifold constants as (2, 1) columns, ground manifold in row 0
-        and excited in row 1, so one sqrt serves both."""
-        if self._columns is None:
-            self._columns = (np.asarray(self._scale_per_v2), np.asarray(self._da1g),
-                             *np.array([[[self._c_g], [self._c_u]],
-                                        [[self._lam_g2], [self._lam_u2]],
-                                        [[self._lam_g], [self._lam_u]]]))
-        return self._columns
+        if not isinstance(v, (float, int)):
+            v = np.asarray(v, dtype=float)
+            # map, not a comprehension: a closure over self would slow the
+            # attribute loads of the scalar formula below
+            out = list(map(self.shift, v.ravel().tolist()))
+            return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
+        v = float(v)
+        s = self._scale_per_v2 * (v * v)  # local eps_xx
+        s2 = s * s
+        delta_g = math.sqrt(self._lam_g2 + self._c_g * s2)
+        delta_u = math.sqrt(self._lam_u2 + self._c_u * s2)
+        return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
+                + 0.5 * (delta_g - self._lam_g))

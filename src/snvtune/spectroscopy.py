@@ -114,7 +114,6 @@ class CdfResult:
 
     values: np.ndarray        # sorted resonance frequencies, GHz
     cdf: np.ndarray           # right-continuous, ends at 1
-    window_ghz: float
     best_fraction: float
     best_window_start: float
 
@@ -122,9 +121,8 @@ class CdfResult:
 def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
                 fwhm_mhz: float, dwell_s: float, bias_v: float,
                 rng: np.random.Generator | None, seed: int | None = None,
-                extra_offset_ghz: float = 0.0,
                 window_warning: bool = False) -> ScanRecord:
-    """Draw one scan of the line at ``center_ghz + extra_offset_ghz``.
+    """Draw one scan of the line at ``center_ghz``.
 
     With ``rng`` (or ``seed``) given the counts are Poisson samples; without
     either the record carries the exact expected counts (noise-free mode).
@@ -135,7 +133,7 @@ def sample_scan(emitter: EmitterModel, detunings, center_ghz: float,
         rng = np.random.default_rng(seed)
     detunings = np.asarray(detunings, dtype=float)
     rates = count_rate(emitter.peak_rate, emitter.background_rate,
-                       detunings - (center_ghz + extra_offset_ghz),
+                       detunings - center_ghz,
                        fwhm_mhz / MHZ_PER_GHZ)
     with np.errstate(over="ignore"):
         expected = rates * dwell_s
@@ -379,8 +377,8 @@ def cdf_and_window(resonances, window_ghz: float) -> CdfResult:
     """Empirical CDF of resonance frequencies plus their best-window fraction."""
     values, cdf = empirical_cdf(resonances)
     fraction, start = best_window_fraction(values, window_ghz)
-    return CdfResult(values=values, cdf=cdf, window_ghz=window_ghz,
-                     best_fraction=fraction, best_window_start=start)
+    return CdfResult(values=values, cdf=cdf, best_fraction=fraction,
+                     best_window_start=start)
 
 
 def sample_inhomogeneous(n: int, cluster_sigma_ghz: float,

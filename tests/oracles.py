@@ -195,9 +195,7 @@ def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,
     curve = TuningCurve(emitter, device)
     dt = 1.0 / pid_cfg.update_rate_hz
     n_frames = int(round(stab.duration_s * pid_cfg.update_rate_hz))
-    target = stab.target_ghz
-    if target is None:
-        target = float(curve.shift(stab.operating_voltage))
+    target = float(curve.shift(stab.operating_voltage))
     drift_rng, lockin_rng, cr_rng, scan_rng = (
         np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4))
     drift = replace(drift)
@@ -238,10 +236,9 @@ def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,
             if stab.feedback and not frame_cr:
                 continue
             shift_now = float(curve.shift(state.dc_voltage))
-            scan = sample_scan(emitter, scan_grid, shift_now,
+            scan = sample_scan(emitter, scan_grid, shift_now + state.drift_ghz,
                                effective_linewidth(emitter, shift_now),
-                               stab.scan_dwell_s, state.dc_voltage,
-                               rng=scan_rng, extra_offset_ghz=state.drift_ghz)
+                               stab.scan_dwell_s, state.dc_voltage, rng=scan_rng)
             try:
                 fit = fit_line(scan, stab.scan_shape)
                 s_center.append(fit.center)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune import cli
+from snvtune import config as config_module
 from snvtune.cli import derive_seed, main
 from snvtune.config import default_config_text, matched_sample_path, parse_config
 from snvtune.spectroscopy import scan_from_csv
@@ -361,7 +363,15 @@ class TestMalformedArguments:
         ("ple", "--emitter", "axial_hinge", "--points", "0"),
         ("ple", "--emitter", "axial_hinge", "--points", "-1"),
         ("calibrate-pulse", "--bias", "nan"),
+        ("calibrate-pulse", "--bias", "inf"),
         ("calibrate-pulse", "--pulses", "inf"),
+        # a non-finite bias is an input error, not an out-of-range one (exit 3)
+        ("ple", "--emitter", "axial_hinge", "--bias", "nan"),
+        ("ple", "--emitter", "axial_hinge", "--bias", "inf"),
+        # a second run of one seed would write the same files
+        ("stabilize", "--seeds", "7,7"),
+        ("--jobs", "0", "tune-curve"),
+        ("tune-curve", "--jobs", "-4"),
         # sizes numpy refuses to allocate at once
         ("stabilize", "--duration", "1e15"),
         ("stabilize", "--scans", "1000000000000000"),
@@ -437,6 +447,27 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert run_cli("--config", bad, "--out", out, "tune-curve") == 2
         assert not out.exists() or not list(out.iterdir())
+
+    def test_every_field_of_a_built_section_is_reachable(self, monkeypatch):
+        """Each field of a dataclass ``config._build`` makes is set by a
+        field-table row or an argument of that call: a field neither sets is
+        a knob no configuration can turn."""
+        set_by = {}
+        build = config_module._build
+
+        def recording(cls, node, path, rows, **extra):
+            set_by.setdefault(cls, set()).update([row[0] for row in rows], extra)
+            return build(cls, node, path, rows, **extra)
+
+        monkeypatch.setattr(config_module, "_build", recording)
+        parse_config(default_config_text())
+        # run state that DriftProcess.step advances, and the --no-feedback flag
+        allowed = {(st.DriftProcess, "state_ghz"), (st.StabilizationConfig, "feedback")}
+        assert {st.DriftProcess, st.StabilizationConfig, st.EmitterModel} <= set(set_by)
+        unreachable = [f"{cls.__name__}.{f.name}" for cls, names in set_by.items()
+                       for f in dataclasses.fields(cls)
+                       if f.name not in names and (cls, f.name) not in allowed]
+        assert unreachable == []
 
     def test_round_trip_of_default_config(self):
         cfg = parse_config(default_config_text())

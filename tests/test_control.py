@@ -592,11 +592,6 @@ class TestRunStabilization:
             st.StabilizationConfig(duration_s=0.0)  # empty log
         with pytest.raises(st.ConfigError):
             st.run_stabilization(axial, device, config.control.drift,
-                                 config.control.lockin, config.control.pid,
-                                 config.control.cr_check,
-                                 replace(good, target_ghz=500.0), seed=1)
-        with pytest.raises(st.ConfigError):
-            st.run_stabilization(axial, device, config.control.drift,
                                  config.control.lockin,
                                  replace(config.control.pid, output_max=200.0),
                                  config.control.cr_check, good, seed=1)
@@ -644,7 +639,6 @@ class TestRunStabilization:
         "free_running": {"stab": {"feedback": False}},
         "ki_and_kd": {"pid": {"ki": 0.02, "kd": 0.05}},
         "cr_retries": {"cr": {"max_attempts": 3, "photon_threshold": 900}},
-        "explicit_target": {"stab": {"target_ghz": -12.0}},
         "jumps_only": {"drift": {"ou_sigma_ghz": 0.0, "jump_rate_hz": 0.5}},
         "drift_start": {"drift": {"state_ghz": 0.4}},
         "dim": None,

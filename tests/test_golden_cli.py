@@ -95,7 +95,7 @@ GOLDEN = {
         "stabilize_scans_7.csv":
             "c71f58c3a08950e1b464542ec313eef73c6094eb56f79347727c3141f135c4ee",
         "stabilize_summary_7.json":
-            "7e1cf0e4f1c1484b60ec908ed16e9aaa051b8edb8447f86ed09b5ba6d5a2d373",
+            "25368eb0f1ceacd27a347e8a2bfe0d0f478512280104e8328d9d7e410c704669",
         "stabilize_updates_7.csv":
             "277a0fb442a1da749243a5ac2ac9a499077063b4941011558739c34a07a789b5",
     },
@@ -105,9 +105,9 @@ GOLDEN = {
         "stabilize_scans_8.csv":
             "d3c4edf56891a9da1bd205ba381009fc6bb1278dafbea9781cb1a034a146503a",
         "stabilize_summary_7.json":
-            "42a449a15beb3eb8e997b65ddd0df221132ece489980c8e98037bd5a2c3c9d1f",
+            "a33ac3de5e94a7b898c8ce87107deb8c5d8a228b94cd214b511b5acf0330a798",
         "stabilize_summary_8.json":
-            "cf000ecd6444721880725cb18fd14ce377e689e562314219312db826704169ed",
+            "245537a026f2b55b32ad66f475c75a522f4c7666bd9aa8882948c5bcbbe568d9",
         "stabilize_updates_7.csv":
             "bc9b8a557c44ac0433e5fba7de0fcd330f43a874649af3722c84436165d306bb",
         "stabilize_updates_8.csv":

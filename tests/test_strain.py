@@ -202,6 +202,20 @@ class TestVoltageChain:
         direct = st.shift_from_voltage_chain(emitter, device, v)
         assert scalar == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
+    def test_array_inputs_match_the_scalar_path_bit_for_bit(self, axial, device):
+        curve = st.TuningCurve(axial, device)
+        grid = np.linspace(0.0, device.calibration.v_max, 12).reshape(3, 4)
+        out = curve.shift(grid)
+        assert (type(out), out.dtype, out.shape) == (np.ndarray, np.float64, (3, 4))
+        want = np.array([curve.shift(v) for v in grid.ravel().tolist()])
+        assert out.ravel().tobytes() == want.tobytes()
+        # numpy scalars other than float64 and 0-d arrays return a float
+        for v in (np.asarray(41.5), np.int64(41), np.float32(41.5)):
+            got = curve.shift(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(curve.shift(float(v))).tobytes()
+        assert curve.shift(np.empty((0, 2))).shape == (0, 2)
+
     def test_level_response_invariants_along_curve(self, axial, device):
         so = axial.spin_orbit
         for v in np.linspace(0.0, device.calibration.v_max, 7):
