@@ -76,6 +76,12 @@ def _finite_bias(v: float) -> float:
     return v
 
 
+def _refuse_repeats(keys: list, flag: str, text: str, what: str) -> None:
+    """Refuse a list in which a key repeats: each key names one task's output."""
+    if len(set(keys)) < len(keys):
+        raise InputError(f"{flag}: {what} repeats in {text!r}")
+
+
 def _number_list(text: str, kind, flag: str) -> list:
     """Comma-separated values of a command-line flag, each converted by ``kind``."""
     try:
@@ -106,6 +112,7 @@ def _tune_one(args) -> np.ndarray:
 
 def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     names = ns.emitters.split(",") if ns.emitters else list(cfg.emitters)
+    _refuse_repeats(names, "--emitters", ns.emitters, "an emitter id")
     for name in names:
         cfg.emitter(name)  # validate before any output
     v_max = ns.v_max if ns.v_max is not None else cfg.device.calibration.v_max
@@ -145,6 +152,9 @@ def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         if not 0.0 <= v <= cfg.device.calibration.v_max:
             raise RangeError(
                 f"bias {v} V outside [0, {cfg.device.calibration.v_max}] V")
+    # file names and scan seeds keep the 6 significant digits of :g
+    _refuse_repeats([f"{v:g}" for v in voltages], "--bias", ns.bias,
+                    "a voltage (to 6 significant digits)")
     if ns.points < 1:
         raise InputError("--points must be >= 1")
     curve = TuningCurve(emitter, cfg.device)
@@ -275,9 +285,7 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     cfg.emitter(ns.emitter)
     if ns.seeds:
         run_seeds = _number_list(ns.seeds, non_negative_int, "--seeds")
-        if len(set(run_seeds)) < len(run_seeds):
-            # two runs of one seed would write the same files
-            raise InputError(f"--seeds: duplicate seed in {ns.seeds!r}")
+        _refuse_repeats(run_seeds, "--seeds", ns.seeds, "a seed")
     else:
         run_seeds = [seed]
     overrides = {"duration_s": ns.duration, "n_scans": ns.scans,
@@ -303,7 +311,7 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> 
     pulses = _number_list(ns.pulses, float, "--pulses")
     cooldowns = _number_list(ns.cooldowns, float, "--cooldowns")
     bias = _finite_bias(ns.bias) if ns.bias is not None else cfg.device.calibration.v_ref
-    if bias > cfg.device.calibration.v_max:
+    if not 0.0 <= bias <= cfg.device.calibration.v_max:
         raise RangeError(
             f"bias {bias} V outside [0, {cfg.device.calibration.v_max}] V")
     thermal = cfg.device.thermal

@@ -241,13 +241,24 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
     points out of the box is held fixed for the step; the others move, and
     the trial point is clipped into the box.  The solver stops when the
     step predicts a cost decrease below ``_LM_TOL`` of the cost, so it
-    returns the least-squares optimum to rounding.  Returns the parameters
-    and the weighted normal matrix ``JᵀWJ`` there.  Raises
+    returns the least-squares optimum to rounding.  ``w=None`` means unit
+    weights and gives the same bits as ``w=np.ones_like(y)``.  Returns the
+    parameters and the weighted normal matrix ``JᵀWJ`` there.  Raises
     :class:`_FitFailed` at the evaluation cap or on a non-finite cost, and
     ``LinAlgError`` on a singular system.
+
+    An iteration on 4-5 parameters costs numpy call overhead, not
+    arithmetic, so the loop makes few calls: parameters reach the model as
+    Python floats, the active set is found on floats, and the all-free case
+    skips the fancy-index copies.
     """
+    def residual(q):
+        r = model(x, *q.tolist()) - y
+        return r if w is None else w * r
+
     p = np.clip(np.asarray(p0, dtype=float), lo, hi)
-    r = w * (model(x, *p) - y)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    r = residual(p)
     cost = float(r @ r)
     if not math.isfinite(cost):
         raise _FitFailed("non-finite cost")
@@ -255,22 +266,33 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
     normal = None
     for _ in range(_LM_MAX_EVALS):
         if normal is None:
-            j = w[:, None] * jac(x, *p)
+            j = jac(x, *p.tolist())
+            if w is not None:
+                j = w[:, None] * j
             normal = j.T @ j
             grad = j.T @ r
-            free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
-            a_free, g_free = normal[free][:, free], grad[free]
+            free = [not ((pi <= l and g > 0.0) or (pi >= h and g < 0.0))
+                    for pi, g, (l, h) in zip(p.tolist(), grad.tolist(), bounds)]
+            all_free = all(free)
+            if all_free:
+                a_free, g_free = normal, grad
+            else:
+                a_free, g_free = normal[free][:, free], grad[free]
+            neg_g = -g_free
             scale = a_free.diagonal()
             damping = np.diag(scale)
-        step = np.linalg.solve(a_free + lam * damping, -g_free)
+        step = np.linalg.solve(a_free + lam * damping, neg_g)
         # decrease of the linearized cost ||r + J step||^2
         predicted = float(step @ (lam * scale * step - g_free))
         if predicted <= _LM_TOL * cost:
             return p, normal
-        trial = p.copy()
-        trial[free] += step
+        if all_free:
+            trial = p + step
+        else:
+            trial = p.copy()
+            trial[free] += step
         trial = np.minimum(np.maximum(trial, lo), hi)
-        r_trial = w * (model(x, *trial) - y)
+        r_trial = residual(trial)
         cost_trial = float(r_trial @ r_trial)
         if not math.isfinite(cost_trial):
             raise _FitFailed("non-finite cost")
@@ -329,8 +351,8 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     try:
         # non-finite data surfaces as a non-finite cost, not as a warning
         with np.errstate(invalid="ignore", over="ignore"):
-            popt, _ = _least_squares(model, jac, x, y, np.ones_like(y), p0, lo, hi)
-            w = 1.0 / np.sqrt(np.maximum(model(x, *popt), 1.0))
+            popt, _ = _least_squares(model, jac, x, y, None, p0, lo, hi)
+            w = 1.0 / np.sqrt(np.maximum(model(x, *popt.tolist()), 1.0))
             popt, normal = _least_squares(model, jac, x, y, w, popt, lo, hi)
         pcov = np.linalg.inv(normal)  # absolute Poisson weights: no rescaling
     except (_FitFailed, np.linalg.LinAlgError):

@@ -166,15 +166,18 @@ class TestPle:
         np.testing.assert_allclose(np.asarray(scan.counts, dtype=float),
                                    scan.expected, rtol=1e-11)
 
-    def test_over_range_bias_exits_3(self, tmp_path):
-        assert run_cli("--out", tmp_path, "ple", "--emitter", "axial_hinge",
-                       "--bias", "500") == 3
-
-    def test_calibrate_pulse_over_range_bias_exits_3(self, tmp_path, capsys):
-        assert run_cli("--out", tmp_path, "calibrate-pulse", "--bias", "1000",
-                       "--pulses", "10", "--cooldowns", "100") == 3
-        assert "error: bias 1000.0 V outside" in capsys.readouterr().err
-        assert not (tmp_path / "pulse_calibration.csv").exists()
+    @pytest.mark.parametrize("bias", ["-5", "500", "1000"])
+    @pytest.mark.parametrize("verb", [
+        ("ple", "--emitter", "axial_hinge", "--points", "9"),
+        ("calibrate-pulse", "--pulses", "10", "--cooldowns", "100")],
+        ids=lambda verb: verb[0])
+    def test_out_of_range_bias_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                          verb, bias):
+        # a finite bias outside [0, v_max] is a range error in both verbs
+        out = tmp_path / "out"
+        assert run_cli("--out", out, *verb, "--bias", bias) == 3
+        assert f"error: bias {float(bias)} V outside" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
 
 class TestInhomo:
@@ -370,6 +373,10 @@ class TestMalformedArguments:
         ("ple", "--emitter", "axial_hinge", "--bias", "inf"),
         # a second run of one seed would write the same files
         ("stabilize", "--seeds", "7,7"),
+        # ple names files and seeds scans by the voltage to 6 digits
+        ("ple", "--emitter", "axial_hinge", "--bias", "10,10"),
+        ("ple", "--emitter", "axial_hinge", "--bias", "10,10.0000001"),
+        ("tune-curve", "--emitters", "axial_hinge,axial_hinge"),
         ("--jobs", "0", "tune-curve"),
         ("tune-curve", "--jobs", "-4"),
         # sizes numpy refuses to allocate at once

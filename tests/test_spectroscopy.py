@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -267,6 +268,67 @@ class TestFitJacobians:
             calls.clear()
             assert st.fit_line(scan, shape).converged
             assert len(calls) <= 30, shape
+
+
+class TestFitGolden:
+    """Every fit of the oracle scans, pinned to the last bit."""
+
+    def test_golden_fit_line_digest(self, config, monkeypatch):
+        # A change to the solver's arithmetic moves this digest; a change
+        # that only saves numpy calls must not.  The set covers both of the
+        # solver's paths: every Lorentzian optimum lies strictly inside its
+        # bounds, so every parameter is free there, and some Voigt fits end
+        # with eta held on its upper bound.
+        solve = spectroscopy._least_squares
+        optima = []
+
+        def recording(model, jac, x, y, w, p0, lo, hi):
+            p, normal = solve(model, jac, x, y, w, p0, lo, hi)
+            optima.append((model.__name__, p, lo, hi))
+            return p, normal
+
+        monkeypatch.setattr(spectroscopy, "_least_squares", recording)
+        digest = hashlib.sha256()
+        for scan in TestFitJacobians._oracle_scans(config):
+            for shape in ("lorentzian", "voigt"):
+                fit = st.fit_line(scan, shape)
+                eta = np.nan if fit.eta is None else fit.eta
+                digest.update(np.array([
+                    fit.center, fit.fwhm, fit.amplitude, fit.background, eta,
+                    fit.center_stderr, float(fit.converged)]).tobytes())
+        assert digest.hexdigest() == (
+            "b514d6d84e175d4251cc03f6b809f21a7de996ea0b5ad858fd4da107741a8ad8")
+        lorentz = [(p, lo, hi) for name, p, lo, hi in optima
+                   if name == "_lorentz_model"]
+        assert lorentz and all(((lo < p) & (p < hi)).all() for p, lo, hi in lorentz)
+        assert sum(p[3] == 1.0 for name, p, _, _ in optima
+                   if name == "_pseudo_voigt_model") >= 2
+
+    def test_unit_weights_match_no_weights_bit_for_bit(self, config, monkeypatch):
+        # fit_line's unweighted first pass passes w=None; replay each such
+        # solve with explicit unit weights.  On this scan the Voigt pass ends
+        # with eta held on its bound, so both of the solver's paths are hit.
+        solve = spectroscopy._least_squares
+        unweighted = []
+
+        def recording(model, jac, x, y, w, p0, lo, hi):
+            if w is None:
+                unweighted.append((model, jac, x, y, p0, lo, hi))
+            return solve(model, jac, x, y, w, p0, lo, hi)
+
+        monkeypatch.setattr(spectroscopy, "_least_squares", recording)
+        scan = next(TestFitJacobians._oracle_scans(config))
+        for shape in ("lorentzian", "voigt"):
+            st.fit_line(scan, shape)
+        assert len(unweighted) == 2
+        held = 0
+        for model, jac, x, y, p0, lo, hi in unweighted:
+            p_none, n_none = solve(model, jac, x, y, None, p0, lo, hi)
+            p_ones, n_ones = solve(model, jac, x, y, np.ones_like(y), p0, lo, hi)
+            assert p_none.tobytes() == p_ones.tobytes()
+            assert n_none.tobytes() == n_ones.tobytes()
+            held += model is spectroscopy._pseudo_voigt_model and p_none[3] == 1.0
+        assert held == 1
 
 
 class TestFitFailure:
