@@ -25,8 +25,7 @@ from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
 from .errors import ConfigError, InputError
 from .spectroscopy import (_POISSON_LAM_MAX, MHZ_PER_GHZ, ScanRecord,
-                           count_rate, effective_linewidth, fit_line,
-                           sample_scan)
+                           effective_linewidth, fit_line, sample_scan)
 
 
 @dataclass
@@ -65,7 +64,15 @@ class DriftProcess:
         """Advance the state by ``dt_s`` and return the new offset in GHz."""
         if not dt_s > 0.0:
             raise InputError("dt_s must be > 0")
-        self.state_ghz = _drift_advance(self.state_ghz, rng, *self._step_terms(dt_s))
+        decay, noise_std, jump_mean, jump_std = self._step_terms(dt_s)
+        x = self.state_ghz * decay
+        if noise_std is not None:
+            x += rng.normal(0.0, noise_std)
+        if jump_mean is not None:
+            n_jumps = rng.poisson(jump_mean)
+            if n_jumps:
+                x += float(np.sum(rng.normal(0.0, jump_std, n_jumps)))
+        self.state_ghz = float(x)
         return self.state_ghz
 
     def _step_terms(self, dt_s: float) -> tuple:
@@ -77,20 +84,6 @@ class DriftProcess:
         jumps = self.jump_rate_hz > 0.0 and self.jump_sigma_ghz > 0.0
         return (decay, noise_std, self.jump_rate_hz * dt_s if jumps else None,
                 self.jump_sigma_ghz)
-
-
-def _drift_advance(x: float, rng: np.random.Generator, decay: float,
-                   noise_std: float | None, jump_mean: float | None,
-                   jump_std: float) -> float:
-    """One drift step from offset ``x`` with :meth:`DriftProcess._step_terms`."""
-    x = x * decay
-    if noise_std is not None:
-        x += rng.normal(0.0, noise_std)
-    if jump_mean is not None:
-        n_jumps = rng.poisson(jump_mean)
-        if n_jumps:
-            x += float(np.sum(rng.normal(0.0, jump_std, n_jumps)))
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -180,10 +173,6 @@ class PIDState:
     last_measurement: float | None = None
 
 
-def _linewidth_ghz(emitter: EmitterModel, shift_ghz: float) -> float:
-    return effective_linewidth(emitter, shift_ghz) / MHZ_PER_GHZ
-
-
 def _phase_groups(b: int, n: int) -> list[list[int]]:
     """Bins 0..n-1 of a probe grouped by modulation phase 2*pi*(k + 1/2)/b,
     in order of first bin: bins k and k' share sin(phase) when k = k' (mod b)
@@ -203,41 +192,60 @@ class _LockIn:
     Bias and drift are constant within a probe, so the m bins of a
     :func:`_phase_groups` group expect equal counts and their sum is one
     Poisson draw over m bin times.  ``groups`` holds (bias offset in V, sin
-    weight, span in s) per group as Python floats, for the scalar paths of
-    ``TuningCurve.shift`` and ``count_rate``.
+    weight, span in s) per group as Python floats; without a ``cfg`` there
+    are none, and the probe gives only the count rate at the DC bias.
     """
 
-    __slots__ = ("groups", "_shift", "_peak", "_background")
+    __slots__ = ("groups", "_offsets", "_shifts", "_emitter", "_peak",
+                 "_background")
 
-    def __init__(self, emitter: EmitterModel, curve: TuningCurve, cfg: LockInConfig):
-        b = cfg.bins_per_period
-        n = cfg.periods_per_probe * b
+    def __init__(self, emitter: EmitterModel, curve: TuningCurve,
+                 cfg: LockInConfig | None = None):
         self.groups = []
-        for bins in _phase_groups(b, n):
-            sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
-            self.groups.append((cfg.mod_amp_v * sin, sin,
-                                len(bins) * (cfg.probe_duration_s / n)))
-        self._shift = curve.shift
+        if cfg is not None:
+            b = cfg.bins_per_period
+            n = cfg.periods_per_probe * b
+            for bins in _phase_groups(b, n):
+                sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
+                self.groups.append((cfg.mod_amp_v * sin, sin,
+                                    len(bins) * (cfg.probe_duration_s / n)))
+        # the DC bias first, then each group's
+        self._offsets = (0.0, *(offset_v for offset_v, _, _ in self.groups))
+        self._shifts = curve.shifts
+        self._emitter = emitter
         self._peak = float(emitter.peak_rate)
         self._background = float(emitter.background_rate)
 
     def probe(self, dc_voltage: float, drift_ghz: float, target_ghz: float,
-              fwhm_ghz: float, poisson=None) -> tuple[float, float]:
-        """Total counts and first-harmonic (sin-weighted) sum of one probe.
+              poisson=None) -> tuple[float, float, float]:
+        """Total counts, first-harmonic (sin-weighted) sum and the CR count
+        rate at the DC bias of one probe.
 
-        ``fwhm_ghz`` is the linewidth at the DC bias, which the caller shares
-        with the CR check.  ``poisson`` (a generator's) draws each group's
-        counts in group order; None sums the expected counts.
+        One :meth:`TuningCurve.shifts` call gives the line at the DC bias
+        and at each group's bias; the linewidth is the one at the DC bias.
+        ``poisson`` (a generator's) draws each group's counts in group
+        order; None sums the expected counts.
         """
-        shift, peak, background = self._shift, self._peak, self._background
+        shifts = self._shifts(dc_voltage, self._offsets)
+        fwhm_ghz = effective_linewidth(self._emitter, shifts[0]) / MHZ_PER_GHZ
+        peak, background = self._peak, self._background
+        rates = []
+        for shift in shifts:
+            # count_rate(peak, background, target - line, fwhm) through
+            # lorentzian_peak's float path
+            y = 2.0 * (target_ghz - (shift + drift_ghz)) / fwhm_ghz
+            try:
+                y2 = y ** 2
+            except OverflowError:  # numpy returns inf here
+                y2 = math.inf
+            rates.append(peak * (1.0 / (1.0 + y2)) + background)
         total = demod = 0.0
-        for offset_v, sin, span_s in self.groups:
-            line = shift(dc_voltage + offset_v) + drift_ghz
-            mean = span_s * count_rate(peak, background, target_ghz - line, fwhm_ghz)
+        for (_, sin, span_s), rate in zip(self.groups, rates[1:]):
+            mean = span_s * rate
             counts = mean if poisson is None else poisson(mean)
             total += counts
             demod += sin * counts
-        return total, demod
+        return total, demod, rates[0]
 
 
 @dataclass(frozen=True)
@@ -270,12 +278,11 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     """
     probe, dc = _LockIn(state.emitter, curve, cfg).probe, state.dc_voltage
     shift = curve.shift(dc)
-    fwhm_ghz = _linewidth_ghz(state.emitter, shift)
-    h = fwhm_ghz / 100.0
+    h = effective_linewidth(state.emitter, shift) / MHZ_PER_GHZ / 100.0
     on_res = target_ghz - shift
 
     def demod(drift_ghz):
-        return probe(dc, drift_ghz, target_ghz, fwhm_ghz)[1]
+        return probe(dc, drift_ghz, target_ghz)[1]
 
     zero, plus, minus = demod(on_res), demod(on_res + h), demod(on_res - h)
     return LockInCalibration(sensitivity=(plus - minus) / (2.0 * h),
@@ -295,9 +302,8 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     noise-free expected-value estimate.  Zero total counts flags the result
     invalid (the caller holds the last voltage).
     """
-    fwhm_ghz = _linewidth_ghz(state.emitter, curve.shift(state.dc_voltage))
-    total, demod = _LockIn(state.emitter, curve, cfg).probe(
-        state.dc_voltage, state.drift_ghz, target_ghz, fwhm_ghz,
+    total, demod, _ = _LockIn(state.emitter, curve, cfg).probe(
+        state.dc_voltage, state.drift_ghz, target_ghz,
         None if rng is None else rng.poisson)
     if total <= 0.0 or calibration.sensitivity == 0.0:
         return LockInResult(error_ghz=0.0, valid=False)
@@ -312,24 +318,15 @@ def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
     threshold; otherwise probe the same state again, up to ``max_attempts``
     times in all.
     """
-    emitter = state.emitter
-    shift = curve.shift(state.dc_voltage)
-    rate = count_rate(emitter.peak_rate, emitter.background_rate,
-                      target_ghz - (shift + state.drift_ghz),
-                      _linewidth_ghz(emitter, shift))
-    return CRCheckResult(*_cr_probe(rate, cfg, rng))
-
-
-def _cr_probe(rate: float, cfg: CRCheckConfig,
-              rng: np.random.Generator) -> tuple[bool, int, int]:
-    """(passed, attempts, counts) of a CR check at count rate ``rate``."""
+    rate = _LockIn(state.emitter, curve).probe(state.dc_voltage, state.drift_ghz,
+                                               target_ghz)[2]
     mean = rate * cfg.probe_duration_s
     counts = 0
     for attempt in range(1, cfg.max_attempts + 1):
         counts = int(rng.poisson(mean))
         if counts >= cfg.photon_threshold:
-            return True, attempt, counts
-    return False, cfg.max_attempts, counts
+            return CRCheckResult(True, attempt, counts)
+    return CRCheckResult(False, cfg.max_attempts, counts)
 
 
 def pid_update(state: PIDState, voltage: float, error_ghz: float,
@@ -417,16 +414,20 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     Deterministic given the seed.
 
     The frame loop makes the draws and float operations of
-    :meth:`DriftProcess.step`, :func:`lockin_error` and :func:`cr_check` in
-    their order, through the private helpers those call, with every per-run
-    constant built before the loop: one frame computes ``shift(dc)`` and the
-    linewidth once for both probes and builds no per-frame objects.
+    :meth:`DriftProcess.step`, :func:`lockin_error`, :func:`cr_check` and
+    :func:`pid_update` in their order, with every per-run constant built
+    before the loop: one frame makes one lock-in probe call, which gives
+    the CR check's count rate too, and runs the drift, CR and PID steps on
+    locals.
     """
     curve = TuningCurve(emitter, device)
     dt = 1.0 / pid_cfg.update_rate_hz
     n_frames = int(round(stab.duration_s * pid_cfg.update_rate_hz))
     if n_frames < 1:
         raise ConfigError("duration shorter than one update frame")
+    if stab.n_scans > n_frames:  # a frame takes at most one scan
+        raise ConfigError(f"{stab.n_scans} scans need at least as many update "
+                          f"frames; the run has {n_frames}")
     if emitter.peak_rate <= 0.0:
         raise ConfigError("emitter has zero peak rate; nothing to lock on")
     cal = device.calibration
@@ -448,7 +449,7 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
 
     feedback = stab.feedback
     dc = float(stab.operating_voltage)
-    x = drift.state_ghz  # drift offset; the caller's process is untouched
+    x = float(drift.state_ghz)  # drift offset; the caller's process is untouched
     if feedback:
         lockin = _LockIn(emitter, curve, lockin_cfg)
         # the line's peak rate over its longest draw: a lock-in group or a CR probe
@@ -463,10 +464,14 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
                 "lock-in sensitivity vanishes at the operating point; "
                 "increase the operating voltage or modulation amplitude")
         probe, poisson, error_of = lockin.probe, lockin_rng.poisson, calibration.error
-        shift = curve.shift
-        peak, background = emitter.peak_rate, emitter.background_rate
-        pid_state = PIDState()
-    drift_terms = drift._step_terms(dt)
+        cr_poisson, cr_s = cr_rng.poisson, cr_cfg.probe_duration_s
+        threshold, attempts = cr_cfg.photon_threshold, range(cr_cfg.max_attempts)
+        kp, ki, kd = pid_cfg.kp, pid_cfg.ki, pid_cfg.kd
+        limit, out_min, out_max = pid_cfg.integral_limit, pid_cfg.output_min, pid_cfg.output_max
+        neg_limit, isfinite = -limit, math.isfinite
+        integral, last_error = 0.0, None  # pid_update's PIDState
+    decay, noise_std, jump_mean, jump_std = drift._step_terms(dt)
+    normal, jump_count = drift_rng.normal, drift_rng.poisson
 
     t_arr = np.arange(1, n_frames + 1) * dt
     epochs = stab.duration_s * (np.arange(1, stab.n_scans + 1) / stab.n_scans)
@@ -484,19 +489,36 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     next_scan, due = 0, scan_due[0]
 
     for i in range(n_frames):
-        x = _drift_advance(x, drift_rng, *drift_terms)
+        # DriftProcess.step
+        x = x * decay
+        if noise_std is not None:
+            x += normal(0.0, noise_std)
+        if jump_mean is not None:
+            n_jumps = jump_count(jump_mean)
+            if n_jumps:
+                x += float(np.sum(normal(0.0, jump_std, n_jumps)))
         passed = False
         if feedback:
-            shift_dc = shift(dc)
-            fwhm_ghz = _linewidth_ghz(emitter, shift_dc)
-            total, demod = probe(dc, x, target, fwhm_ghz, poisson)
-            passed = _cr_probe(count_rate(peak, background, target - (shift_dc + x),
-                                          fwhm_ghz), cr_cfg, cr_rng)[0]
+            total, demod, cr_rate = probe(dc, x, target, poisson)
+            # cr_check
+            mean = cr_rate * cr_s
+            for _ in attempts:
+                if cr_poisson(mean) >= threshold:
+                    passed = True
+                    break
             # The CR check heralds the resonance condition for the scans;
             # the bias update itself runs every frame the probe saw photons.
             if total > 0.0:
                 error = error_of(demod)
-                dc = pid_update(pid_state, dc, error, pid_cfg, dt)
+                # pid_update
+                if not isfinite(error):
+                    raise InputError(f"error_ghz must be finite, got {error}")
+                integral = float(min(max(integral + error * dt, neg_limit), limit))
+                derivative = (0.0 if last_error is None or kd == 0.0
+                              else (last_error - error) / dt)
+                last_error = error
+                u = kp * error + ki * integral + kd * derivative
+                dc = float(min(max(dc + u, out_min), out_max))
                 e_arr[i] = error
             v_arr[i] = dc
             cr_arr[i] = passed

@@ -130,20 +130,30 @@ class TuningCurve:
         """C-transition shift in GHz for voltage ``v``.
 
         A Python number returns a float.  Any other input is read as an
-        array whose elements go one by one through the same formula, so
-        every element equals the scalar result bit for bit; the array keeps
-        its shape, and a 0-d one returns a float.
+        array whose elements go one by one through :meth:`shifts`, so every
+        element equals the scalar result bit for bit; the array keeps its
+        shape, and a 0-d one returns a float.
         """
-        if not isinstance(v, (float, int)):
-            v = np.asarray(v, dtype=float)
-            # map, not a comprehension: a closure over self would slow the
-            # attribute loads of the scalar formula below
-            out = list(map(self.shift, v.ravel().tolist()))
-            return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
-        v = float(v)
-        s = self._scale_per_v2 * (v * v)  # local eps_xx
-        s2 = s * s
-        delta_g = math.sqrt(self._lam_g2 + self._c_g * s2)
-        delta_u = math.sqrt(self._lam_u2 + self._c_u * s2)
-        return (s * self._da1g - 0.5 * (delta_u - self._lam_u)
-                + 0.5 * (delta_g - self._lam_g))
+        if isinstance(v, (float, int)):
+            return self.shifts(v, (0.0,))[0]
+        v = np.asarray(v, dtype=float)
+        out = self.shifts(0.0, v.ravel().tolist())
+        return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
+
+    def shifts(self, v0, offsets) -> list[float]:
+        """``[shift(v0 + o) for o in offsets]`` as Python floats, for Python
+        float offsets.  The formula enters only through V^2, so the sign of
+        a zero in ``v0 + o`` does not matter."""
+        v0 = float(v0)
+        k, da1g, c_g, c_u = self._scale_per_v2, self._da1g, self._c_g, self._c_u
+        lam_g, lam_u, lam_g2, lam_u2 = self._lam_g, self._lam_u, self._lam_g2, self._lam_u2
+        sqrt = math.sqrt
+        out = []
+        for o in offsets:
+            v = v0 + o
+            s = k * (v * v)  # local eps_xx
+            s2 = s * s
+            delta_g = sqrt(lam_g2 + c_g * s2)
+            delta_u = sqrt(lam_u2 + c_u * s2)
+            out.append(s * da1g - 0.5 * (delta_u - lam_u) + 0.5 * (delta_g - lam_g))
+        return out

@@ -492,9 +492,21 @@ def write_csv(path: Path, header_lines: list[str], columns: dict,
         fh.writelines(blocks)
 
 
+def _json_finite(node):
+    """``node`` with every non-finite float, nested or not, replaced by None."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _json_finite(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_json_finite(value) for value in node]
+    return node
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write ``payload`` as strict JSON: a NaN or infinite float becomes null."""
+    text = json.dumps(_json_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def scan_to_csv(scan: ScanRecord, path: str | Path,

@@ -24,6 +24,11 @@ def run_cli(*args) -> int:
 DROP = object()  # marks a key to delete
 
 
+def reject_constant(name):
+    """``json.loads`` hook that refuses NaN and Infinity, as strict parsers do."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def mutate(doc, path, value):
     """``doc`` with the node at ``path`` replaced by ``value`` or deleted."""
     parent = doc
@@ -265,8 +270,24 @@ class TestStabilize:
             assert row["converged"] == "0"
             assert row["fitted_center_GHz"] == row["fitted_fwhm_MHz"] == ""
             assert float(row["true_center_GHz"]) < 0.0
-        summary = json.loads((out / "stabilize_summary_7.json").read_text())
+        summary = json.loads((out / "stabilize_summary_7.json").read_text(),
+                             parse_constant=reject_constant)
         assert (summary["n_scans"], summary["n_converged"]) == (2, 0)
+        # no converged scan: the means and the summed width are JSON null
+        for key in ("center_mean_ghz", "fwhm_mean_mhz", "fwhm_summed_mhz"):
+            assert key in summary and summary[key] is None, key
+
+    def test_more_scans_than_frames_exit_2_and_write_nothing(self, tmp_path,
+                                                               capsys):
+        # 2 s at 5 Hz is 10 frames, and a frame takes at most one scan
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "stabilize", "--duration", "2",
+                       "--scans", "100") == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "100 scans" in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+        assert run_cli("--out", out, "stabilize", "--duration", "2",
+                       "--scans", "10") == 0
 
     @pytest.mark.parametrize("key, value", [("peak_rate", 1e308),
                                             ("background_rate", 1e300)])

@@ -235,11 +235,18 @@ class TestPhaseGroups:
         target = curve.shift(v_op)
         fwhm_ghz = effective_linewidth(emitter, target) / 1000.0
         sin, lam = self.per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz)
-        total, demod = lockin.probe(v_op, drift, target, fwhm_ghz)
+        total, demod, cr_rate = lockin.probe(v_op, drift, target)
         assert total == pytest.approx(np.sum(lam), rel=1e-12)
         # the demodulated sum cancels to near zero on resonance: compare on
         # the scale of its terms
         assert abs(demod - np.sum(sin * lam)) <= 1e-12 * np.sum(np.abs(sin * lam))
+        # the CR check's rate at the DC bias, bit for bit
+        shift_dc = curve.shift(v_op)
+        want = count_rate(emitter.peak_rate, emitter.background_rate,
+                          target - (shift_dc + drift),
+                          effective_linewidth(emitter, shift_dc) / 1000.0)
+        assert type(cr_rate) is float
+        assert np.float64(cr_rate).tobytes() == np.float64(want).tobytes()
 
     def test_draws_match_per_bin_poisson_moments(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
@@ -249,7 +256,7 @@ class TestPhaseGroups:
         probe = _LockIn(emitter, curve, lk).probe
         rng = np.random.default_rng(2024)
         n_probes = 20_000
-        draws = np.array([probe(v_op, drift, target, fwhm_ghz, rng.poisson)
+        draws = np.array([probe(v_op, drift, target, rng.poisson)[:2]
                           for _ in range(n_probes)])
         sin, lam = self.per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz)
         # a weighted sum of independent Poisson counts: mean sum(w*lam),
@@ -638,6 +645,10 @@ class TestRunStabilization:
         "feedback": {},
         "free_running": {"stab": {"feedback": False}},
         "ki_and_kd": {"pid": {"ki": 0.02, "kd": 0.05}},
+        # the integral and output clamps of the loop's PID step engage
+        "clamped": {"pid": {"ki": 0.02, "integral_limit": 0.002,
+                            "output_min": 39.99, "output_max": 40.01},
+                    "drift": {"state_ghz": -0.5}},
         "cr_retries": {"cr": {"max_attempts": 3, "photon_threshold": 900}},
         "jumps_only": {"drift": {"ou_sigma_ghz": 0.0, "jump_rate_hz": 0.5}},
         "drift_start": {"drift": {"state_ghz": 0.4}},

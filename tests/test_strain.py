@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,26 @@ class TestVoltageChain:
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(curve.shift(float(v))).tobytes()
         assert curve.shift(np.empty((0, 2))).shape == (0, 2)
+
+    def test_golden_shift_digest(self, config, device):
+        # Pinned before TuningCurve's formula moved into ``shifts``: every
+        # emitter, scalar and array path, over a grid with -0.0, v_max, a
+        # voltage past it and a NaN.  A NaN result is hashed as one fixed
+        # pattern, so only the values, not the NaN payload, are pinned.
+        v_max = device.calibration.v_max
+        grid = [-0.0, 0.0, 1e-3, 0.5, 7.25, 20.0, 39.999, 40.0, 55.5, 75.0,
+                79.99, v_max, 120.0, -33.0, math.nan]
+        digest = hashlib.sha256()
+        for name in sorted(config.emitters):
+            curve = st.TuningCurve(config.emitter(name), device)
+            scalar = np.array([curve.shift(v) for v in grid])
+            array = curve.shift(np.array(grid))
+            assert np.isnan(scalar[-1]) and np.isnan(array[-1])
+            for out in (scalar, array):
+                out = np.where(np.isnan(out), math.nan, out)
+                digest.update(name.encode() + out.tobytes())
+        assert digest.hexdigest() == (
+            "cf65e4d5cac87701de466c040a2eafdad1f3575d4de41ba28430337de7a2cfd3")
 
     def test_level_response_invariants_along_curve(self, axial, device):
         so = axial.spin_orbit
