@@ -26,16 +26,10 @@ Position = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Device geometry, all lengths in meters."""
+    """Waveguide beam dimensions in meters: the bending profile reads these."""
 
-    w_spring: float = 200e-9
     w_waveguide: float = 250e-9
-    w_support: float = 250e-9
-    w_tp: float = 50e-9
-    d_support: float = 2e-6
     l_waveguide: float = 20e-6
-    l_tp: float = 15e-6
-    gap_height: float = 2.5e-6
     h_waveguide: float = 160e-9
 
     def __post_init__(self):
@@ -176,8 +170,8 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
     grows with the excess steady-state heat of the relaxation recurrence.
     Leakage heating scales with the square of the applied voltage.
     """
-    if not (0.0 < pulse_us < math.inf and cooldown_us >= 0.0):
-        raise InputError("pulse duration must be finite and > 0, cooldown >= 0")
+    if not (0.0 < pulse_us < math.inf and 0.0 <= cooldown_us < math.inf):
+        raise InputError("pulse duration must be finite and > 0, cooldown finite and >= 0")
     if not 0.0 <= v < math.inf:
         raise InputError("voltage must be finite and >= 0")
     heat = _steady_state_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2

@@ -345,7 +345,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="parallel workers for independent tasks (>= 1)")
     parser.add_argument("--expected-value", action="store_true",
                         default=default(False),
-                        help="noise-free expected-value mode where supported")
+                        help="noise-free expected-value scans (ple only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.expected_value and ns.command != "ple":
+            raise InputError(f"--expected-value: {ns.command} has no expected-value mode")
         cfg = load_config(ns.config) if ns.config else load_default_config()
         seed = ns.seed if ns.seed is not None else cfg.seed
         out = ns.out

@@ -24,7 +24,7 @@ import numpy as np
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
 from .errors import ConfigError, InputError
-from .spectroscopy import (_POISSON_LAM_MAX, MHZ_PER_GHZ, ScanRecord,
+from .spectroscopy import (_POISSON_LAM_MAX, MHZ_PER_GHZ, ScanRecord, count_rate,
                            effective_linewidth, fit_line, sample_scan)
 
 
@@ -192,23 +192,21 @@ class _LockIn:
     Bias and drift are constant within a probe, so the m bins of a
     :func:`_phase_groups` group expect equal counts and their sum is one
     Poisson draw over m bin times.  ``groups`` holds (bias offset in V, sin
-    weight, span in s) per group as Python floats; without a ``cfg`` there
-    are none, and the probe gives only the count rate at the DC bias.
+    weight, span in s) per group as Python floats.
     """
 
     __slots__ = ("groups", "_offsets", "_shifts", "_emitter", "_peak",
                  "_background")
 
     def __init__(self, emitter: EmitterModel, curve: TuningCurve,
-                 cfg: LockInConfig | None = None):
+                 cfg: LockInConfig):
+        b = cfg.bins_per_period
+        n = cfg.periods_per_probe * b
         self.groups = []
-        if cfg is not None:
-            b = cfg.bins_per_period
-            n = cfg.periods_per_probe * b
-            for bins in _phase_groups(b, n):
-                sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
-                self.groups.append((cfg.mod_amp_v * sin, sin,
-                                    len(bins) * (cfg.probe_duration_s / n)))
+        for bins in _phase_groups(b, n):
+            sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
+            self.groups.append((cfg.mod_amp_v * sin, sin,
+                                len(bins) * (cfg.probe_duration_s / n)))
         # the DC bias first, then each group's
         self._offsets = (0.0, *(offset_v for offset_v, _, _ in self.groups))
         self._shifts = curve.shifts
@@ -318,8 +316,10 @@ def cr_check(state: EmitterState, target_ghz: float, cfg: CRCheckConfig,
     threshold; otherwise probe the same state again, up to ``max_attempts``
     times in all.
     """
-    rate = _LockIn(state.emitter, curve).probe(state.dc_voltage, state.drift_ghz,
-                                               target_ghz)[2]
+    emitter, shift = state.emitter, curve.shift(state.dc_voltage)
+    rate = count_rate(emitter.peak_rate, emitter.background_rate,
+                      target_ghz - (shift + state.drift_ghz),
+                      effective_linewidth(emitter, shift) / MHZ_PER_GHZ)
     mean = rate * cfg.probe_duration_s
     counts = 0
     for attempt in range(1, cfg.max_attempts + 1):
@@ -575,7 +575,8 @@ def summarize_log(log: FeedbackLog) -> dict:
     summary = {
         "n_scans": int(log.scan_center_ghz.size),
         "n_converged": int(np.count_nonzero(ok)),
-        "center_std_ghz": float(np.std(centers, ddof=1)) if centers.size > 1 else 0.0,
+        "center_std_ghz": (float(np.std(centers, ddof=1)) if centers.size > 1
+                           else float("nan")),
         "center_mean_ghz": float(np.mean(centers)) if centers.size else float("nan"),
         "fwhm_mean_mhz": float(np.mean(fwhms)) if fwhms.size else float("nan"),
         "cr_pass_rate": float(np.mean(log.cr_pass)) if log.cr_pass.size else 0.0,

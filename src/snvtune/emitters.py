@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .actuator import DeviceModel, Position, bending_profile, strain_at
 from .errors import InputError
 from .frames import Orientation, lab_to_defect, rotate_strain
@@ -126,19 +124,9 @@ class TuningCurve:
         self._lam_g2 = self._lam_g ** 2
         self._lam_u2 = self._lam_u ** 2
 
-    def shift(self, v):
-        """C-transition shift in GHz for voltage ``v``.
-
-        A Python number returns a float.  Any other input is read as an
-        array whose elements go one by one through :meth:`shifts`, so every
-        element equals the scalar result bit for bit; the array keeps its
-        shape, and a 0-d one returns a float.
-        """
-        if isinstance(v, (float, int)):
-            return self.shifts(v, (0.0,))[0]
-        v = np.asarray(v, dtype=float)
-        out = self.shifts(0.0, v.ravel().tolist())
-        return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
+    def shift(self, v: float) -> float:
+        """C-transition shift in GHz for voltage ``v``."""
+        return self.shifts(v, (0.0,))[0]
 
     def shifts(self, v0, offsets) -> list[float]:
         """``[shift(v0 + o) for o in offsets]`` as Python floats, for Python

@@ -12,7 +12,6 @@ frequency; linewidths are FWHM in MHz.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -529,41 +528,3 @@ def scan_to_csv(scan: ScanRecord, path: str | Path,
     }
     write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
     return path
-
-
-def scan_from_csv(path: str | Path) -> ScanRecord:
-    """Load a scan written by :func:`scan_to_csv`.
-
-    The counts keep the dtype kind recorded in the sidecar; without one,
-    whole-numbered counts load as integers.
-    """
-    path = Path(path)
-    detunings, counts, expected = [], [], []
-    has_expected = False
-    with path.open("r", encoding="utf-8") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        has_expected = "expected_counts" in header
-        for row in reader:
-            detunings.append(float(row[0]))
-            counts.append(float(row[1]))
-            if has_expected:
-                expected.append(float(row[2]))
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
-    counts_arr = np.asarray(counts)
-    kind = meta.get("counts_kind")
-    if kind is None:
-        kind = "int" if np.all(counts_arr == np.round(counts_arr)) else "float"
-    if kind == "int":
-        counts_arr = counts_arr.astype(np.int64)
-    return ScanRecord(
-        detunings=np.asarray(detunings, dtype=float),
-        counts=counts_arr,
-        dwell_s=float(meta.get("dwell_s", 1.0)),
-        bias_v=float(meta.get("bias_V", 0.0)),
-        seed=meta.get("seed"),
-        emitter=str(meta.get("emitter", "")),
-        expected=np.asarray(expected, dtype=float) if has_expected else None,
-        window_warning=bool(meta.get("window_warning", False)),
-    )

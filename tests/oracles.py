@@ -5,6 +5,7 @@ than the library code: brute-force eigendecompositions, literal index
 summations, numeric integration and differentiation, Monte-Carlo moments.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,15 @@ from snvtune.errors import InputError
 from snvtune.spectroscopy import effective_linewidth, fit_line, sample_scan
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def read_scan(path) -> tuple[np.ndarray, dict]:
+    """Columns of a scan CSV written by ``scan_to_csv``, read with numpy's
+    parser (``#`` lines and the header row skipped), and its JSON sidecar."""
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    columns = np.loadtxt(rows[1:], delimiter=",", ndmin=2).T
+    meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+    return columns, meta
 
 
 def eigengap_2x2(h: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,25 @@ class TestBendingProfile:
             st.bending_profile(geo, (0.0, geo.w_waveguide, 0.0))
         with pytest.raises(st.DomainError):
             st.bending_profile(geo, (0.0, 0.0, geo.h_waveguide))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DeviceGeometry)])
+    def test_every_geometry_length_is_read(self, name):
+        # the profile over points inside and just outside the default beam
+        # (None where the point is off the beam); a length that moves none
+        # of them is an input the model ignores
+        def profile(geo):
+            out = []
+            for point in ((x, y, z) for x in (4e-6, 22e-6) for y in (0.0, 150e-9)
+                          for z in (60e-9, 100e-9)):
+                try:
+                    out.append(st.bending_profile(geo, point))
+                except st.DomainError:
+                    out.append(None)
+            return out
+
+        base = DeviceGeometry()
+        grown = dataclasses.replace(base, **{name: 1.5 * getattr(base, name)})
+        assert profile(grown) != profile(base)
 
 
 class TestStrainAt:
@@ -172,6 +193,6 @@ class TestOrientationContrast:
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(st.InputError):
-            DeviceGeometry(w_spring=0.0)
+            DeviceGeometry(w_waveguide=0.0)
         with pytest.raises(st.InputError):
             ThermalModel(cooldown_time_us=-1.0)

@@ -14,7 +14,8 @@ from snvtune import cli
 from snvtune import config as config_module
 from snvtune.cli import derive_seed, main
 from snvtune.config import default_config_text, matched_sample_path, parse_config
-from snvtune.spectroscopy import scan_from_csv
+
+from oracles import read_scan
 
 
 def run_cli(*args) -> int:
@@ -135,15 +136,16 @@ class TestPle:
     def test_emits_scan_and_metadata(self, tmp_path):
         assert run_cli("--out", tmp_path, "ple", "--emitter", "axial_hinge",
                        "--bias", "75", "--points", "41") == 0
-        scan = scan_from_csv(tmp_path / "ple_axial_hinge_75V.csv")
-        assert scan.detunings.size == 41
-        assert scan.bias_v == 75.0
-        assert scan.emitter == "axial_hinge"
+        (detunings, _), meta = read_scan(tmp_path / "ple_axial_hinge_75V.csv")
+        assert detunings.size == 41
+        assert meta["bias_V"] == 75.0
+        assert meta["emitter"] == "axial_hinge"
 
     def test_round_trip_matches_memory(self, tmp_path, config):
         run_cli("--out", tmp_path, "ple", "--emitter", "axial_hinge",
                 "--bias", "30", "--points", "33", "--span", "3.0")
-        scan = scan_from_csv(tmp_path / "ple_axial_hinge_30V.csv")
+        (detunings, counts), meta = read_scan(tmp_path / "ple_axial_hinge_30V.csv")
+        assert meta["counts_kind"] == "int"
         emitter = config.emitter("axial_hinge")
         seed = derive_seed(config.seed, "ple", "axial_hinge", "30")
         curve = st.TuningCurve(emitter, config.device)
@@ -151,8 +153,8 @@ class TestPle:
         det = center + np.linspace(-1.5, 1.5, 33)
         direct = st.simulate_ple(emitter, config.device, 30.0, det, 0.005,
                                  seed=seed)
-        assert np.array_equal(scan.counts, direct.counts)
-        np.testing.assert_allclose(scan.detunings, direct.detunings, rtol=1e-11)
+        assert np.array_equal(counts, direct.counts)
+        np.testing.assert_allclose(detunings, direct.detunings, rtol=1e-11)
 
     def test_window_warning_recorded(self, tmp_path):
         run_cli("--out", tmp_path, "ple", "--emitter", "axial_hinge",
@@ -166,10 +168,10 @@ class TestPle:
         run_cli("--out", tmp_path, "--expected-value", "ple",
                 "--emitter", "bulk_reference", "--bias", "10",
                 "--points", "17")
-        scan = scan_from_csv(tmp_path / "ple_bulk_reference_10V.csv")
-        assert scan.expected is not None
-        np.testing.assert_allclose(np.asarray(scan.counts, dtype=float),
-                                   scan.expected, rtol=1e-11)
+        columns, meta = read_scan(tmp_path / "ple_bulk_reference_10V.csv")
+        assert columns.shape == (3, 17)  # detuning, counts, expected counts
+        assert meta["counts_kind"] == "float"
+        np.testing.assert_allclose(columns[1], columns[2], rtol=1e-11)
 
     @pytest.mark.parametrize("bias", ["-5", "500", "1000"])
     @pytest.mark.parametrize("verb", [
@@ -273,8 +275,9 @@ class TestStabilize:
         summary = json.loads((out / "stabilize_summary_7.json").read_text(),
                              parse_constant=reject_constant)
         assert (summary["n_scans"], summary["n_converged"]) == (2, 0)
-        # no converged scan: the means and the summed width are JSON null
-        for key in ("center_mean_ghz", "fwhm_mean_mhz", "fwhm_summed_mhz"):
+        # no converged scan: the spread, the means and the summed width are JSON null
+        for key in ("center_std_ghz", "center_mean_ghz", "fwhm_mean_mhz",
+                    "fwhm_summed_mhz"):
             assert key in summary and summary[key] is None, key
 
     def test_more_scans_than_frames_exit_2_and_write_nothing(self, tmp_path,
@@ -389,6 +392,9 @@ class TestMalformedArguments:
         ("calibrate-pulse", "--bias", "nan"),
         ("calibrate-pulse", "--bias", "inf"),
         ("calibrate-pulse", "--pulses", "inf"),
+        ("calibrate-pulse", "--cooldowns", "inf"),
+        # only ple has an expected-value mode
+        ("--expected-value", "stabilize", "--duration", "2", "--scans", "1"),
         # a non-finite bias is an input error, not an out-of-range one (exit 3)
         ("ple", "--emitter", "axial_hinge", "--bias", "nan"),
         ("ple", "--emitter", "axial_hinge", "--bias", "inf"),
@@ -444,12 +450,12 @@ class TestConfigValidation:
 
     def test_unknown_unit_names_key_and_options(self, tmp_path, capsys):
         doc = json.loads(default_config_text())
-        doc["device"]["geometry"]["w_spring"] = {"value": 200, "unit": "furlong"}
+        doc["device"]["geometry"]["w_waveguide"] = {"value": 250, "unit": "furlong"}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("--config", bad, "--out", tmp_path, "tune-curve") == 2
         err = capsys.readouterr().err
-        assert "w_spring" in err and "furlong" in err
+        assert "w_waveguide" in err and "furlong" in err
 
     def test_constraint_violation_reported(self, tmp_path, capsys):
         doc = json.loads(default_config_text())
@@ -497,6 +503,59 @@ class TestConfigValidation:
                        if f.name not in names and (cls, f.name) not in allowed]
         assert unreachable == []
 
+    def test_every_shipped_key_is_read(self, monkeypatch):
+        """Each key of the shipped config is a field-table key, a section or a
+        comment (``notes``, ``provenance``): none is carried and ignored."""
+        read = {}  # object path -> keys the loader looks up there
+        fields, section = config_module._fields, config_module._section
+
+        def recording_fields(node, path, rows):
+            read.setdefault(path, set()).update(row[1] for row in rows)
+            return fields(node, path, rows)
+
+        def recording_section(doc, key, path=""):
+            read.setdefault(path, set()).add(key)
+            return section(doc, key, path)
+
+        monkeypatch.setattr(config_module, "_fields", recording_fields)
+        monkeypatch.setattr(config_module, "_section", recording_section)
+        doc = json.loads(default_config_text())
+        parse_config(default_config_text())
+        # looked up with dict.get: the seed, the emitter list, each emitter's id and position
+        read[""].update({"seed", "emitters"})
+        for i in range(len(doc["emitters"])):
+            read[f"emitters[{i}]"].update({"id", "position"})
+
+        def walk(node, path):
+            for key, child in node.items():
+                assert key in read[path] or key in ("notes", "provenance"), (path, key)
+                child_path = f"{path}.{key}" if path else key
+                if isinstance(child, list):
+                    for i, item in enumerate(child):
+                        if f"{child_path}[{i}]" in read:
+                            walk(item, f"{child_path}[{i}]")
+                elif isinstance(child, dict) and child_path in read:
+                    walk(child, child_path)
+
+        walk(doc, "")
+        assert {"device.geometry", "emitters[3]", "control.stabilization"} <= set(read)
+
+    # device.geometry keys that older configuration files carry and the
+    # model does not read
+    RETIRED_GEOMETRY = {"w_spring": (200.0, "nm"), "w_support": (250.0, "nm"),
+                        "w_tp": (50.0, "nm"), "d_support": (2.0, "um"),
+                        "l_tp": (15.0, "um"), "gap_height": (2.5, "um")}
+
+    def test_retired_geometry_keys_still_load(self):
+        doc = json.loads(default_config_text())
+        for key, (value, unit) in self.RETIRED_GEOMETRY.items():
+            doc["device"]["geometry"][key] = {"value": value, "unit": unit}
+        old = parse_config(json.dumps(doc, indent=2))
+        new = parse_config(default_config_text())
+        assert old.device == new.device
+        assert dataclasses.replace(old, source_text="") == dataclasses.replace(
+            new, source_text="")
+
     def test_round_trip_of_default_config(self):
         cfg = parse_config(default_config_text())
         assert set(cfg.emitters) == {"axial_hinge", "axial_mid",
@@ -514,8 +573,8 @@ class TestConfigValidation:
          "device.calibration.eps_ref", 7e-5),
         ("emitters.0.peak_rate", {"value": 20.0, "unit": "kcounts/s"},
          "emitters.axial_hinge.peak_rate", 20000.0),
-        ("device.geometry.w_spring", {"value": 0.2, "unit": "um"},
-         "device.geometry.w_spring", 200e-9),
+        ("device.geometry.w_waveguide", {"value": 0.25, "unit": "um"},
+         "device.geometry.w_waveguide", 250e-9),
         ("physics.ground.t_perp", {"value": 520.0, "unit": "THz/strain"},
          "physics.susc_g.t_perp", 520000.0),
         ("control.pid.output_max", {"value": 79000.0, "unit": "mV"},

@@ -200,11 +200,12 @@ class TestPhaseGroups:
 
     @staticmethod
     def per_bin(emitter, curve, lk, v_op, drift, target, fwhm_ghz):
-        """sin weight and expected counts of every bin, through the array path
-        of ``TuningCurve.shift`` and ``count_rate``."""
+        """sin weight and expected counts of every bin, through one
+        ``TuningCurve.shift`` call per bin and ``count_rate``."""
         n = lk.periods_per_probe * lk.bins_per_period
         sin = np.sin(2.0 * np.pi * (np.arange(n) + 0.5) / lk.bins_per_period)
-        line = curve.shift(v_op + lk.mod_amp_v * sin) + drift
+        bias = v_op + lk.mod_amp_v * sin
+        line = np.array([curve.shift(v) for v in bias.tolist()]) + drift
         lam = count_rate(emitter.peak_rate, emitter.background_rate,
                          target - line, fwhm_ghz) * (lk.probe_duration_s / n)
         return sin, lam
@@ -278,6 +279,25 @@ class TestCRCheck:
                      curve=curve).passed
             for _ in range(1000))
         assert passes / 1000 > 0.99
+
+    def test_draws_with_the_probe_rate_bit_for_bit(self, lock_setup):
+        # the frame loop takes the CR rate from the lock-in probe, and
+        # cr_check computes it with count_rate: the Poisson means must agree
+        cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
+
+        class Recorder:
+            def poisson(self, lam):
+                self.lam = lam
+                return 0
+
+        cr = cfg.control.cr_check
+        probe = _LockIn(emitter, curve, cfg.control.lockin).probe
+        for v, drift in ((v_op, 0.0), (v_op, 0.05), (v_op, -0.3), (12.5, 0.4),
+                         (0.0, 1e-3)):
+            rec = Recorder()
+            cr_check(EmitterState(emitter, device, v, drift), target, cr, rec, curve)
+            want = probe(v, drift, target)[2] * cr.probe_duration_s
+            assert rec.lam.hex() == want.hex()
 
     def test_dark_emitter_always_fails(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup

@@ -45,7 +45,7 @@ RUNS = {
 
 TUNE_CURVE = {
     "tune_curve.csv":
-        "ef0edb5e11ef4c8df896a983edb545a54892a27d5153b576c1cf3f3d16a0daf0",
+        "28e7ccf318846cebf6c0ec8e08352b46de2c634c8c98ae3aefb859eb85958f19",
 }
 
 GOLDEN = {
@@ -53,65 +53,65 @@ GOLDEN = {
     "tune-curve-jobs": TUNE_CURVE,
     "tune-curve-quoted": {
         "tune_curve.csv":
-            "2b83c98d17b4d37016d8347541e1c190ab0608ab47940ce73bec6c55cdb951ca",
+            "e2f9487f89c75b85cb0addf8a9a063b25cb8a54e8c81a8843b90e6bb4a0e0acd",
     },
     "calibrate-pulse": {
         "pulse_calibration.csv":
-            "97463befa15d96093b23e806aca7b8b5f3d41a80dd58100628f456b3dfd9a7e3",
+            "6d604a42c37760e5bbb18f63b96ecbe47e5f757398e2e282fcc78678bcf1d07d",
     },
     "inhomo-matched": {
         "inhomo_cdf.csv":
-            "c555ba4d9f7437b10172c07b08f89c11cf4a87781f27d215122de8a32cc15e6d",
+            "ce6cc6e7a10614cb0767133125466dfdd14b5dc28c16ec8445428feaf209d178",
         "inhomo_summary.json":
-            "142539880aa7ac1ea61af78c8e7d5eeb0f063b4144afb7508665ec7568c7dacb",
+            "bd1a8c1689d951e09b6f6554f1ff4e5dd43000aadf8423887f44eae20eb70ad9",
     },
     "inhomo-n": {
         "inhomo_cdf.csv":
-            "ee18bc5f3cb407690aac08ccc345977d0f579d5f5a22b0c031fb1395bb44e03f",
+            "e363474be06b00d95523bc98cfa6f2d4bd75c15b30193b6d748585176be0b369",
         "inhomo_summary.json":
-            "63c6a3828f1f380121f7ec002b8a85ce4906a16592247b29ad65ef1a1d917feb",
+            "7ae6101a03bc2c16680de2602fc8c8931d0bde03f0718625c22ae5e0d5e14c37",
     },
     "ple": {
         "ple_axial_hinge_0V.csv":
-            "38234150dfe3bc9ccc2d06dea4c1b66f01de8bf6dad8f595c28f8a0990e58c19",
+            "7343d7705cddf4018a5d6602e01fa9265c0a2e2e4443d7553176a379f54510ca",
         "ple_axial_hinge_0V.csv.meta.json":
             "2e65423df7e9c4d914fbba02d59bd6e4458ee6be53eb73504bed60b1a0262bb4",
         "ple_axial_hinge_41V.csv":
-            "37bbe1620cab28685a4772d16ebc9b6b68f31d6a52844c8594839747825ac233",
+            "cc86fed0ea1028fdf11c74ee132af4d3b957ea399cc73f6506dfb98e0f2d2439",
         "ple_axial_hinge_41V.csv.meta.json":
             "8742df8689cf339a44d581aea29b282a02d87f7e64c64a3654a02f2a085111dd",
     },
     "ple-expected": {
         "ple_transversal_hinge_0V.csv":
-            "fe6b0cd3363cac3865261249f5164b4fc6a83d462ce874d59e864259d091cd4e",
+            "8ea4e9763ac2c07ce8309e1c173456e77a9edb75a8cbcd88c6fa36e8b497d72f",
         "ple_transversal_hinge_0V.csv.meta.json":
             "74e3e19e7b4d714a3aa064a9120e006eb8508879eb54e25f6404298e49ecf394",
         "ple_transversal_hinge_41V.csv":
-            "e66ee3d827284fd45c153f99966049ca6028ddd61d2e1c506bc52e3c79cff627",
+            "c563eb54e72d872872879fb6fa04b29edc21f3b52edf159deaed1e24bc3605b3",
         "ple_transversal_hinge_41V.csv.meta.json":
             "6a07ffd7f25652e3518e7fb01bfee7501e1786350925cff9e132a9cf5b26ef08",
     },
     "stabilize-dim": {
         "stabilize_scans_7.csv":
-            "c71f58c3a08950e1b464542ec313eef73c6094eb56f79347727c3141f135c4ee",
+            "ffd1415ba0ab43fd686787d24196630e07c5db4f28ef231390cad6d7f7611aef",
         "stabilize_summary_7.json":
-            "25368eb0f1ceacd27a347e8a2bfe0d0f478512280104e8328d9d7e410c704669",
+            "17e8dde80d2f7d7b326477aec19ff8c091a14a258a5bad3eb826ce87d53b58fc",
         "stabilize_updates_7.csv":
-            "277a0fb442a1da749243a5ac2ac9a499077063b4941011558739c34a07a789b5",
+            "1353c64747304028681daac0fe9f9c2ec606916eea5048789ee06d5e15d920d9",
     },
     "stabilize-seeds": {
         "stabilize_scans_7.csv":
-            "9704548a627598bfdf7e008b37a15da35038b2c12eb99643163ad8a9484a3158",
+            "0464da038a2768acdfeb15c6842d99d2cc1e6b9786d9781cfe1e08ee669d7f7d",
         "stabilize_scans_8.csv":
-            "d3c4edf56891a9da1bd205ba381009fc6bb1278dafbea9781cb1a034a146503a",
+            "15c3fb315b29675ca433530c516ebc92efe75ee7049d693722ec7787dc71a30a",
         "stabilize_summary_7.json":
-            "a33ac3de5e94a7b898c8ce87107deb8c5d8a228b94cd214b511b5acf0330a798",
+            "59368d674e46c6ff11d501d7e97920652d5ebbabf351c29e6a09d74d97b95964",
         "stabilize_summary_8.json":
-            "245537a026f2b55b32ad66f475c75a522f4c7666bd9aa8882948c5bcbbe568d9",
+            "0612dc24fd8d867d98849592717981145965c3bee11a861c7670d7a4ccecd9bb",
         "stabilize_updates_7.csv":
-            "bc9b8a557c44ac0433e5fba7de0fcd330f43a874649af3722c84436165d306bb",
+            "012f37f182a035a92c83049be436248c0aa154e33177e56bd19df0d478302b8a",
         "stabilize_updates_8.csv":
-            "410d027c6de66a778ab3513bf2008ffc5e17a732bf42486766635a69d6b2dbde",
+            "7f2484403563b7c3a9b6cd36799d5d5c110bfa4548a4f831645a28d56fc3ed84",
     },
 }
 
