@@ -6,7 +6,9 @@ derives per-task seeds from the master seed, and emits CSV/JSON files with
 provenance headers.  Identical config and seed give byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration or input validation error (an input
-too large to allocate included), 3 runtime range/domain error.
+too large to allocate included), 3 runtime range/domain error or broken
+internal contract.  A refused run writes nothing: the output directory is
+made by the first file write.
 """
 
 from __future__ import annotations
@@ -102,11 +104,21 @@ def _parallel_map(fn, tasks: list, jobs: int) -> list:
 # tune-curve
 
 def _tune_one(args) -> np.ndarray:
-    """Shift (GHz) and FWHM (MHz) rows of one emitter over the voltage grid."""
+    """Shift (GHz) and FWHM (MHz) rows of one emitter over the voltage grid.
+
+    The shifts come from the emitter's closed-form ``TuningCurve``.  The full
+    voltage chain runs at the two grid ends: strain grows with V^2, so its
+    actuator-range, position and small-strain guards bind there, and the
+    curve must agree with it there to 1e-9 relative (``ContractError``).
+    """
     cfg, name, voltages = args
     emitter = cfg.emitter(name)
-    shifts = np.array([shift_from_voltage_chain(emitter, cfg.device, v)
-                       for v in voltages])
+    shifts = np.array(TuningCurve(emitter, cfg.device).shifts(0.0, voltages.tolist()))
+    for v, shift in ((voltages[0], shifts[0]), (voltages[-1], shifts[-1])):
+        chain = shift_from_voltage_chain(emitter, cfg.device, v)
+        if not abs(shift - chain) <= 1e-9 * max(abs(chain), 1.0):
+            raise ContractError(f"emitter {name!r} at {v:g} V: tuning curve gives "
+                                f"{shift:.15g} GHz, the voltage chain {chain:.15g} GHz")
     return np.stack([shifts, effective_linewidth(emitter, shifts)])
 
 
@@ -121,8 +133,8 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     if ns.steps < 1:
         raise InputError("--steps must be >= 1")
     voltages = np.linspace(ns.v_min, v_max, ns.steps)
-    shift, fwhm = np.hstack(
-        _parallel_map(_tune_one, [(cfg, n, voltages) for n in names], jobs))
+    # about 2 ms per emitter, less than starting one worker process
+    shift, fwhm = np.hstack([_tune_one((cfg, n, voltages)) for n in names])
     path = out / "tune_curve.csv"
     _write_csv(path, _provenance(cfg, "tune-curve", seed),
                {"emitter": [n for n in names for _ in range(ns.steps)],
@@ -428,9 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--expected-value: {ns.command} has no expected-value mode")
         cfg = load_config(ns.config) if ns.config else load_default_config()
         seed = ns.seed if ns.seed is not None else cfg.seed
-        out = ns.out
-        out.mkdir(parents=True, exist_ok=True)
-        return ns.func(cfg, ns, out, seed, ns.jobs)
+        return ns.func(cfg, ns, ns.out, seed, ns.jobs)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,9 @@ Each section is described by a field table whose rows read
 ``(attribute, json_key, kind[, OPTIONAL])``.  ``kind`` is a unit table (a
 unit-tagged quantity), ``float`` (a plain number), ``int`` (a whole number)
 or a tuple of accepted strings; an absent optional key takes the dataclass
-default.
+default.  A key that no field table, section or loader step looks up is
+refused, so a misspelled optional key cannot silently take its default;
+only the comment keys and the retired keys in ``IGNORED_KEYS`` load unread.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ GAIN_V_S_PER_GHZ = {"V*s/GHz": 1.0}
 
 _ORIENTATIONS = {o.value: o for o in Orientation}
 OPTIONAL = "optional"
+# object path -> keys that load and are not read: comments, and the
+# geometry keys of older files that the bending profile never used
+IGNORED_KEYS = {"": {"notes"},
+                "device.geometry": {"w_spring", "w_support", "w_tp", "d_support",
+                                    "l_tp", "gap_height"}}
 
 SPIN_ORBIT = [("lambda_g", "lambda_g", FREQUENCY_GHZ),
               ("lambda_u", "lambda_u", FREQUENCY_GHZ)]
@@ -97,6 +104,45 @@ STABILIZATION = [("duration_s", "duration", TIME_S), ("n_scans", "n_scans", int)
                  ("scan_dwell_s", "scan_dwell", TIME_S),
                  ("operating_voltage", "operating_voltage", VOLTAGE_V),
                  ("scan_shape", "scan_shape", ("lorentzian", "voigt"), OPTIONAL)]
+
+
+class _Object(dict):
+    """A JSON object that records which keys the loader looked up."""
+
+    __slots__ = ("looked_up",)
+
+    def __init__(self, pairs):
+        dict.__init__(self, pairs)
+        self.looked_up = set()
+
+    def __contains__(self, key):
+        self.looked_up.add(key)
+        return dict.__contains__(self, key)
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return dict.get(self, key, default)
+
+
+def _refuse_unread(node: _Object, path: str = "") -> None:
+    """Raise ``ConfigError`` at the first key below ``node`` the loader did
+    not look up, other than ``provenance`` and the ``IGNORED_KEYS``."""
+    ignored = IGNORED_KEYS.get(path, ())
+    for key, child in node.items():
+        if key == "provenance" or key in ignored:
+            continue
+        where = f"{path}.{key}" if path else key
+        if key not in node.looked_up:
+            raise ConfigError(f"{where}: unknown key")
+        if isinstance(child, _Object):
+            _refuse_unread(child, where)
+        elif isinstance(child, list):  # the emitter list, objects checked on load
+            for i, item in enumerate(child):
+                _refuse_unread(item, f"{where}[{i}]")
 
 
 def _number(node, path: str) -> float:
@@ -247,7 +293,7 @@ def _emitters(doc: dict, physics: PhysicsConfig) -> dict[str, EmitterModel]:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -293,6 +339,7 @@ def parse_config(text: str) -> RunConfig:
                                ("pid", PIDConfig, PID),
                                ("cr_check", CRCheckConfig, CR_CHECK),
                                ("stabilization", StabilizationConfig, STABILIZATION))})
+    _refuse_unread(doc)
     return RunConfig(physics=physics, device=device, emitters=emitters,
                      inhomogeneous=inhomogeneous, control=control, seed=seed,
                      source_text=text)

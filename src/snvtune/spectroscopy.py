@@ -466,7 +466,8 @@ def write_csv(path: Path, header_lines: list[str], columns: dict,
     1-D ``columns`` (name -> values), in csv's dialect.
 
     The body is formatted in full, one row template per block of rows,
-    before the file is opened, so a bad column leaves no file behind.
+    before the file and any missing parent directory are created, so a bad
+    column leaves neither behind.
     """
     cols = [_csv_column(name, values, name in blank_nan)
             for name, values in columns.items()]
@@ -487,6 +488,7 @@ def write_csv(path: Path, header_lines: list[str], columns: dict,
         for j, (_, values) in enumerate(cols):
             cells[j::width] = values[start:stop].tolist()
         blocks.append(row * (stop - start) % tuple(cells))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.writelines(blocks)
 
@@ -503,8 +505,10 @@ def _json_finite(node):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON: a NaN or infinite float becomes null."""
+    """Write ``payload`` as strict JSON: a NaN or infinite float becomes null.
+    A missing parent directory is created once the text is formatted."""
     text = json.dumps(_json_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -99,30 +100,6 @@ class TestTuneCurve:
         assert ((tmp_path / "serial" / "tune_curve.csv").read_bytes()
                 == (tmp_path / "par" / "tune_curve.csv").read_bytes())
 
-    def test_jobs_pool_capped_at_task_count(self, tmp_path, monkeypatch):
-        workers = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        run_cli("--out", tmp_path / "serial", "tune-curve", "--steps", "5")
-        run_cli("--out", tmp_path / "par", "--jobs", "64", "tune-curve",
-                "--steps", "5")
-        assert len(workers) == 1 and workers[0] <= 4
-        assert ((tmp_path / "serial" / "tune_curve.csv").read_bytes()
-                == (tmp_path / "par" / "tune_curve.csv").read_bytes())
-
     def test_provenance_headers_present(self, tmp_path, config):
         run_cli("--out", tmp_path, "--seed", "808", "tune-curve", "--steps", "3")
         head = (tmp_path / "tune_curve.csv").read_text().splitlines()[:4]
@@ -130,6 +107,54 @@ class TestTuneCurve:
         assert head[1] == "# command=tune-curve"
         assert head[2] == f"# config_sha256={config.config_hash()}"
         assert head[3] == "# seed=808"
+
+    @pytest.mark.parametrize("name", ["axial_hinge", "axial_mid",
+                                      "transversal_hinge", "bulk_reference"])
+    def test_shifts_match_the_cancellation_free_chain(self, config, name):
+        # With nu0 = 0 the chain's nu_c - nu0 loses no digits to the
+        # 4.8e5 GHz line frequency; with the shipped nu0 it is off by up to 9e-11.
+        grid = np.linspace(0.0, 80.0, 1000)
+        emitter = config.emitter(name)
+        exact = dataclasses.replace(emitter, nu0=0.0)
+        shifts = cli._tune_one((config, name, grid))[0]
+        chain = [st.shift_from_voltage_chain(exact, config.device, v) for v in grid]
+        assert np.max(np.abs(shifts - chain)) <= 1e-12
+
+    def test_chain_runs_only_at_the_grid_ends(self, tmp_path, monkeypatch):
+        calls = []
+        chain = cli.shift_from_voltage_chain
+
+        def recording(emitter, device, v):
+            calls.append((emitter.name, float(v)))
+            return chain(emitter, device, v)
+
+        monkeypatch.setattr(cli, "shift_from_voltage_chain", recording)
+        assert run_cli("--out", tmp_path, "tune-curve", "--emitters",
+                       "axial_mid,bulk_reference", "--v-min", "5",
+                       "--v-max", "70", "--steps", "50") == 0
+        assert calls == [("axial_mid", 5.0), ("axial_mid", 70.0),
+                         ("bulk_reference", 5.0), ("bulk_reference", 70.0)]
+
+    def test_curve_disagreeing_with_chain_exits_3(self, tmp_path, capsys, monkeypatch):
+        chain = cli.shift_from_voltage_chain
+        monkeypatch.setattr(cli, "shift_from_voltage_chain",
+                            lambda e, d, v: chain(e, d, v) + 1e-6)
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "tune-curve", "--steps", "7") == 3
+        err = capsys.readouterr().err
+        assert "error: " in err and "voltage chain" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("emitters, code", [(None, 3), ("axial_hinge", 3),
+                                                ("bulk_reference", 0)],
+                             ids=["all", "axial_hinge", "bulk_reference"])
+    def test_grid_beyond_actuator_range(self, tmp_path, capsys, emitters, code):
+        # only a strained emitter feels the actuator's range
+        pick = ["--emitters", emitters] if emitters else []
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "tune-curve", *pick, "--v-max", "90") == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "tune_curve.csv").exists() == (code == 0)
 
 
 class TestPle:
@@ -173,6 +198,35 @@ class TestPle:
         assert meta["counts_kind"] == "float"
         np.testing.assert_allclose(columns[1], columns[2], rtol=1e-11)
 
+    def test_jobs_pool_capped_at_task_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        args = ("ple", "--emitter", "axial_hinge", "--bias", "0,10,20,30,40",
+                "--points", "21")
+        run_cli("--out", tmp_path / "serial", *args)
+        run_cli("--out", tmp_path / "par", "--jobs", "64", *args)
+        assert len(workers) == 1 and workers[0] <= 5
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(names) == 10
+        assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "par" / name).read_bytes())
+
     @pytest.mark.parametrize("bias", ["-5", "500", "1000"])
     @pytest.mark.parametrize("verb", [
         ("ple", "--emitter", "axial_hinge", "--points", "9"),
@@ -184,7 +238,7 @@ class TestPle:
         out = tmp_path / "out"
         assert run_cli("--out", out, *verb, "--bias", bias) == 3
         assert f"error: bias {float(bias)} V outside" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestInhomo:
@@ -288,7 +342,7 @@ class TestStabilize:
                        "--scans", "100") == 2
         err = capsys.readouterr().err
         assert "error: " in err and "100 scans" in err and "Traceback" not in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
         assert run_cli("--out", out, "stabilize", "--duration", "2",
                        "--scans", "10") == 0
 
@@ -306,7 +360,7 @@ class TestStabilize:
                        "--duration", "10", "--scans", "1") == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Poisson" in err and "Traceback" not in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_lockin_group_beyond_poisson_limit_exit_2(self, tmp_path, capsys):
         # One lock-in bin (3.125 ms) and the 1 ms CR probe stay under the
@@ -323,7 +377,7 @@ class TestStabilize:
                        "--duration", "10", "--scans", "1") == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Poisson" in err and "Traceback" not in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_multi_seed_jobs(self, tmp_path):
         assert run_cli("--out", tmp_path, "--jobs", "2", "stabilize",
@@ -436,7 +490,7 @@ class TestMalformedArguments:
             assert "bad.csv, row 3" in err and "'abc'" in err
         if "{bad_gain}" in args:
             assert "control.pid.kp" in err and "V/(GHz*s)" in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestConfigValidation:
@@ -480,7 +534,7 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run_cli("--config", bad, "--out", out, "tune-curve") == 2
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_every_field_of_a_built_section_is_reachable(self, monkeypatch):
         """Each field of a dataclass ``config._build`` makes is set by a
@@ -555,6 +609,48 @@ class TestConfigValidation:
         assert old.device == new.device
         assert dataclasses.replace(old, source_text="") == dataclasses.replace(
             new, source_text="")
+
+    @pytest.mark.parametrize("section, key, typo", [
+        ("cr_check", "max_attempts", "max_attemps"),
+        ("pid", "integral_limit", "integral_limt")])
+    def test_misspelled_optional_key_exits_2(self, tmp_path, capsys, section, key, typo):
+        doc = json.loads(default_config_text())
+        node = doc["control"][section]
+        node[typo] = node.pop(key)
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("--config", bad, "--out", out, "tune-curve") == 2
+        err = capsys.readouterr().err
+        assert f"control.{section}.{typo}: unknown key" in err and "Traceback" not in err
+        assert not out.exists()
+
+    UNREAD = [(("emitters", 2), "provenance", True),
+              (("control", "pid", "kp"), "provenance", True),
+              ((), "notes", True),
+              (("control", "pid"), "notes", False),
+              (("emitters", 2, "position", "z"), "uncertainty", False),
+              (("device", "calibration", "tensor_ratios"), "xx", False),
+              ((), "inhomogenous", False),
+              (("physics",), "w_spring", False)]
+
+    @pytest.mark.parametrize("path, key, loads", UNREAD,
+                             ids=["/".join(map(str, (*p, k))) for p, k, _ in UNREAD])
+    def test_only_comment_and_retired_keys_load_unread(self, path, key, loads):
+        doc = json.loads(default_config_text())
+        node = doc
+        for part in path:
+            node = node[part]
+        node[key] = {"value": 1.0, "unit": "V"}
+        text = json.dumps(doc)
+        if loads:
+            assert dataclasses.replace(parse_config(text), source_text="") == \
+                dataclasses.replace(parse_config(default_config_text()), source_text="")
+        else:
+            where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                            for p in (*path, key)).lstrip(".")
+            with pytest.raises(st.ConfigError, match=re.escape(f"{where}: unknown key")):
+                parse_config(text)
 
     def test_round_trip_of_default_config(self):
         cfg = parse_config(default_config_text())

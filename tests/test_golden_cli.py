@@ -43,9 +43,10 @@ RUNS = {
                         "--duration", "30", "--scans", "1"],
 }
 
+# shifts from TuningCurve's closed form, not the voltage chain's nu_c - nu0
 TUNE_CURVE = {
     "tune_curve.csv":
-        "28e7ccf318846cebf6c0ec8e08352b46de2c634c8c98ae3aefb859eb85958f19",
+        "9ff645a9caf33ced1d95b2ac9100c807443e339fc9f72a564692d7c325248866",
 }
 
 GOLDEN = {
@@ -53,7 +54,7 @@ GOLDEN = {
     "tune-curve-jobs": TUNE_CURVE,
     "tune-curve-quoted": {
         "tune_curve.csv":
-            "e2f9487f89c75b85cb0addf8a9a063b25cb8a54e8c81a8843b90e6bb4a0e0acd",
+            "081967267b57709f95656254b52a70d7c56be2ba5f68d48d5af16d1df4965b93",
     },
     "calibrate-pulse": {
         "pulse_calibration.csv":
@@ -187,4 +188,4 @@ def test_unknown_emitter_message_quotes_the_ids(tmp_path, capsys):
     head, listed = err.split("known ids: ")
     assert head == "error: unknown emitter id 'nope'; " and err.count("\n") == 1
     assert ast.literal_eval(f"[{listed}]") == ids
-    assert not list(out.iterdir())
+    assert not out.exists()
