@@ -71,9 +71,10 @@ class ActuatorCalibration:
 class ThermalModel:
     """Pulsed-bias heating model parameters.
 
-    ``heat_shift_coeff`` converts excess steady-state heat (us units) into a
-    resonance red shift in GHz; ``relax_time_us`` is the thermal relaxation
-    time constant of the device.
+    ``heat_shift_coeff`` is the resonance red shift in GHz per us of peak
+    heat in excess of the safe operating point's, where a pulse's heat is
+    its periodic-steady-state peak (a DC bias reaches ``relax_time_us``);
+    ``relax_time_us`` is the thermal relaxation time constant of the device.
     """
 
     cooldown_time_us: float = 1500.0
@@ -149,15 +150,25 @@ def strain_at(device: DeviceModel, position: Position, v: float) -> StrainTensor
     )
 
 
-def _steady_state_heat(thermal: ThermalModel, pulse_us: float, cooldown_us: float) -> float:
-    """Fixed point of the heat recurrence T -> (T + pulse) * exp(-period/tau).
+def _peak_heat(thermal: ThermalModel, pulse_us: float, cooldown_us: float) -> float:
+    """Heat at the end of a pulse in the periodic steady state, in us.
 
-    Each cycle deposits heat proportional to the pulse duration and relaxes
-    over the full period; the geometric series converges to
-    pulse * alpha / (1 - alpha) with alpha = exp(-(pulse+cooldown)/tau).
+    A first-order system with time constant tau, heated during each pulse
+    and cooling in between, peaks at
+    tau (1 - e^(-p/tau)) / (1 - e^(-(p+c)/tau)).  Written as
+    tau / (1 + (1 - e^(-c/tau)) / (e^(p/tau) - 1)), each factor moves with one
+    argument, so the peak rises with the pulse, falls with the cooldown and
+    is tau, the DC limit, at zero cooldown.
     """
-    alpha = math.exp(-(pulse_us + cooldown_us) / thermal.relax_time_us)
-    return pulse_us * alpha / (1.0 - alpha)
+    tau = thermal.relax_time_us
+    cooled = -math.expm1(-cooldown_us / tau)
+    if cooled == 0.0:  # no cooldown, or one too short to cool at all
+        return tau
+    try:
+        heated = math.expm1(pulse_us / tau)
+    except OverflowError:  # a pulse that reaches the DC limit
+        return tau
+    return tau / (1.0 + cooled / heated) if heated > 0.0 else 0.0
 
 
 def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
@@ -167,14 +178,14 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
 
     Zero at or below the calibrated safe operating point
     (pulse <= max_pulse and cooldown >= cooldown_time); beyond it the offset
-    grows with the excess steady-state heat of the relaxation recurrence.
-    Leakage heating scales with the square of the applied voltage.
+    grows with the peak heat in excess of the safe point's.  Leakage heating
+    scales with the square of the applied voltage.
     """
     if not (0.0 < pulse_us < math.inf and 0.0 <= cooldown_us < math.inf):
         raise InputError("pulse duration must be finite and > 0, cooldown finite and >= 0")
     if not 0.0 <= v < math.inf:
         raise InputError("voltage must be finite and >= 0")
-    heat = _steady_state_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
-    safe = _steady_state_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
+    heat = _peak_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
+    safe = _peak_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
     excess = max(0.0, heat - safe)
     return -thermal.heat_shift_coeff * excess + 0.0

@@ -20,6 +20,7 @@ import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .control import run_stabilization, summarize_log
 from .emitters import TuningCurve, shift_from_voltage_chain
 from .errors import (ConfigError, ContractError, DomainError, InputError,
                      RangeError)
-from .spectroscopy import (cdf_and_window, effective_linewidth,
+from .spectroscopy import (ScanRecord, cdf_and_window, effective_linewidth,
                            sample_inhomogeneous, scan_to_csv, simulate_ple)
 # the writers keep the cli's own names, which bench/tracing.py wraps
 from .spectroscopy import write_csv as _write_csv, write_json as _write_json
@@ -92,18 +93,10 @@ def _number_list(text: str, kind, flag: str) -> list:
         raise InputError(f"{flag}: invalid comma-separated list {text!r}") from None
 
 
-def _parallel_map(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    # a fork-started pool launches all max_workers processes at once
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # tune-curve
 
-def _tune_one(args) -> np.ndarray:
+def _tune_one(cfg: RunConfig, name: str, voltages: np.ndarray) -> np.ndarray:
     """Shift (GHz) and FWHM (MHz) rows of one emitter over the voltage grid.
 
     The shifts come from the emitter's closed-form ``TuningCurve``.  The full
@@ -111,7 +104,6 @@ def _tune_one(args) -> np.ndarray:
     actuator-range, position and small-strain guards bind there, and the
     curve must agree with it there to 1e-9 relative (``ContractError``).
     """
-    cfg, name, voltages = args
     emitter = cfg.emitter(name)
     shifts = np.array(TuningCurve(emitter, cfg.device).shifts(0.0, voltages.tolist()))
     for v, shift in ((voltages[0], shifts[0]), (voltages[-1], shifts[-1])):
@@ -122,7 +114,7 @@ def _tune_one(args) -> np.ndarray:
     return np.stack([shifts, effective_linewidth(emitter, shifts)])
 
 
-def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
+def cmd_tune_curve(cfg: RunConfig, ns, seed: int) -> int:
     names = ns.emitters.split(",") if ns.emitters else list(cfg.emitters)
     _refuse_repeats(names, "--emitters", ns.emitters, "an emitter id")
     for name in names:
@@ -133,9 +125,8 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     if ns.steps < 1:
         raise InputError("--steps must be >= 1")
     voltages = np.linspace(ns.v_min, v_max, ns.steps)
-    # about 2 ms per emitter, less than starting one worker process
-    shift, fwhm = np.hstack([_tune_one((cfg, n, voltages)) for n in names])
-    path = out / "tune_curve.csv"
+    shift, fwhm = np.hstack([_tune_one(cfg, n, voltages) for n in names])
+    path = ns.out / "tune_curve.csv"
     _write_csv(path, _provenance(cfg, "tune-curve", seed),
                {"emitter": [n for n in names for _ in range(ns.steps)],
                 "bias_V": np.tile(voltages, len(names)),
@@ -147,17 +138,16 @@ def cmd_tune_curve(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 # ple
 
-def _ple_one(args) -> str:
-    cfg, name, v, detunings, dwell, expected_mode, out_str, seed = args
-    scan = simulate_ple(cfg.emitter(name), cfg.device, v, detunings, dwell,
-                        seed=None if expected_mode else seed)
-    path = Path(out_str) / f"ple_{name}_{v:g}V.csv"
-    scan_to_csv(scan, path, header_lines=_provenance(cfg, "ple", seed),
-                include_expected=expected_mode)
-    return str(path)
+def _ple_one(cfg: RunConfig, ns, curve: TuningCurve, v: float, seed: int) -> ScanRecord:
+    """The scan at bias ``v`` over ``--span`` around ``--center``, or around
+    the predicted shift; noise-free with ``--expected-value``."""
+    center = float(curve.shift(v)) if ns.center is None else ns.center
+    detunings = center + np.linspace(-0.5 * ns.span, 0.5 * ns.span, ns.points)
+    return simulate_ple(cfg.emitter(ns.emitter), cfg.device, v, detunings, ns.dwell,
+                        seed=None if ns.expected_value else seed)
 
 
-def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
+def cmd_ple(cfg: RunConfig, ns, seed: int) -> int:
     emitter = cfg.emitter(ns.emitter)
     voltages = [_finite_bias(v) for v in _number_list(ns.bias, float, "--bias")]
     for v in voltages:
@@ -170,16 +160,13 @@ def cmd_ple(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
     if ns.points < 1:
         raise InputError("--points must be >= 1")
     curve = TuningCurve(emitter, cfg.device)
-    tasks = []
-    for v in voltages:
-        center = ns.center
-        if center is None:
-            center = float(curve.shift(v))
-        detunings = center + np.linspace(-0.5 * ns.span, 0.5 * ns.span, ns.points)
-        task_seed = derive_seed(seed, "ple", ns.emitter, f"{v:g}")
-        tasks.append((cfg, ns.emitter, v, detunings, ns.dwell,
-                      ns.expected_value, str(out), task_seed))
-    for path in _parallel_map(_ple_one, tasks, jobs):
+    seeds = [derive_seed(seed, "ple", ns.emitter, f"{v:g}") for v in voltages]
+    # every scan is simulated before the first file is written
+    scans = [_ple_one(cfg, ns, curve, v, s) for v, s in zip(voltages, seeds)]
+    for scan_seed, scan in zip(seeds, scans):
+        path = ns.out / f"ple_{ns.emitter}_{scan.bias_v:g}V.csv"
+        scan_to_csv(scan, path, header_lines=_provenance(cfg, "ple", scan_seed),
+                    include_expected=ns.expected_value)
         print(f"wrote {path}")
     return 0
 
@@ -211,7 +198,7 @@ def _read_resonances_csv(path: Path) -> np.ndarray:
     return np.asarray(values)
 
 
-def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
+def cmd_inhomo(cfg: RunConfig, ns, seed: int) -> int:
     if ns.input is not None:
         source = Path(ns.input)
         values = _read_resonances_csv(source)
@@ -232,7 +219,7 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         origin = f"generated, n={n}"
     result = cdf_and_window(values, ns.window)
 
-    cdf_path = out / "inhomo_cdf.csv"
+    cdf_path = ns.out / "inhomo_cdf.csv"
     _write_csv(cdf_path, _provenance(cfg, "inhomo", seed) + [f"source={origin}"],
                {"frequency_GHz": result.values, "cdf": result.cdf})
     summary = {
@@ -244,7 +231,7 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
         "config_sha256": cfg.config_hash(),
         "seed": seed,
     }
-    _write_json(out / "inhomo_summary.json", summary)
+    _write_json(ns.out / "inhomo_summary.json", summary)
     print(f"wrote {cdf_path}")
     print(f"best {ns.window:g} GHz window captures "
           f"{100.0 * result.best_fraction:.1f}% of resonances")
@@ -254,8 +241,8 @@ def cmd_inhomo(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 # stabilize
 
-def _stabilize_one(args) -> tuple[str, dict]:
-    cfg, emitter_name, stab, out_str, run_seed = args
+def _stabilize_one(cfg: RunConfig, emitter_name: str, stab, out: Path,
+                   run_seed: int) -> tuple[str, dict]:
     emitter = cfg.emitter(emitter_name)
     log = run_stabilization(emitter, cfg.device, cfg.control.drift,
                             cfg.control.lockin, cfg.control.pid,
@@ -273,7 +260,6 @@ def _stabilize_one(args) -> tuple[str, dict]:
                       "lock-in/PID/CR values are documented defaults",
     }
 
-    out = Path(out_str)
     tag = f"{run_seed}"
     head = _provenance(cfg, "stabilize", run_seed)
     upd_path = out / f"stabilize_updates_{tag}.csv"
@@ -293,7 +279,7 @@ def _stabilize_one(args) -> tuple[str, dict]:
     return str(upd_path), summary
 
 
-def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
+def cmd_stabilize(cfg: RunConfig, ns, seed: int) -> int:
     cfg.emitter(ns.emitter)
     if ns.seeds:
         run_seeds = _number_list(ns.seeds, non_negative_int, "--seeds")
@@ -304,8 +290,14 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
                  "feedback": False if ns.no_feedback else None}
     stab = replace(cfg.control.stabilization,
                    **{k: v for k, v in overrides.items() if v is not None})
-    tasks = [(cfg, ns.emitter, stab, str(out), s) for s in run_seeds]
-    for path, summary in _parallel_map(_stabilize_one, tasks, jobs):
+    run = partial(_stabilize_one, cfg, ns.emitter, stab, ns.out)
+    if ns.jobs <= 1 or len(run_seeds) <= 1:
+        results = [run(s) for s in run_seeds]
+    else:
+        # a fork-started pool launches all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=min(ns.jobs, len(run_seeds))) as pool:
+            results = list(pool.map(run, run_seeds))
+    for path, summary in results:
         mode = "free-running" if ns.no_feedback else "feedback"
         print(f"wrote {path}")
         print(f"seed {summary['seed']} ({mode}): center std = "
@@ -319,7 +311,7 @@ def cmd_stabilize(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 # calibrate-pulse
 
-def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> int:
+def cmd_calibrate_pulse(cfg: RunConfig, ns, seed: int) -> int:
     pulses = _number_list(ns.pulses, float, "--pulses")
     cooldowns = _number_list(ns.cooldowns, float, "--cooldowns")
     bias = _finite_bias(ns.bias) if ns.bias is not None else cfg.device.calibration.v_ref
@@ -330,7 +322,7 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, out: Path, seed: int, jobs: int) -> 
     offsets = np.array([pulsed_resonance_offset(thermal, p, c, bias,
                                                 v_ref=cfg.device.calibration.v_ref)
                         for p in pulses for c in cooldowns])
-    path = out / "pulse_calibration.csv"
+    path = ns.out / "pulse_calibration.csv"
     _write_csv(path, _provenance(cfg, "calibrate-pulse", seed),
                {"pulse_us": np.repeat(pulses, len(cooldowns)),
                 "cooldown_us": np.tile(cooldowns, len(pulses)),
@@ -354,7 +346,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--out", type=Path, default=default(Path(".")),
                         help="output directory")
     parser.add_argument("--jobs", type=positive_int, default=default(1),
-                        help="parallel workers for independent tasks (>= 1)")
+                        help="parallel workers for stabilize --seeds; other "
+                             "verbs run serially (>= 1)")
     parser.add_argument("--expected-value", action="store_true",
                         default=default(False),
                         help="noise-free expected-value scans (ple only)")
@@ -440,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--expected-value: {ns.command} has no expected-value mode")
         cfg = load_config(ns.config) if ns.config else load_default_config()
         seed = ns.seed if ns.seed is not None else cfg.seed
-        return ns.func(cfg, ns, ns.out, seed, ns.jobs)
+        return ns.func(cfg, ns, seed)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -274,6 +274,10 @@ def _emitters(doc: dict, physics: PhysicsConfig) -> dict[str, EmitterModel]:
         name = node.get("id")
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{path}.id: expected a non-empty string")
+        # an id is an item of --emitters lists and part of ple file names
+        if not name.isprintable() or any(c in name for c in ",/\\"):
+            raise ConfigError(f"{path}.id: {name!r} holds a comma, a slash, a "
+                              "backslash or a non-printable character")
         if name in emitters:
             raise ConfigError(f"{path}.id: duplicate emitter id {name!r}")
         position = node.get("position")

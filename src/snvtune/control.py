@@ -229,8 +229,9 @@ class _LockIn:
         peak, background = self._peak, self._background
         rates = []
         for shift in shifts:
-            # count_rate(peak, background, target - line, fwhm) through
-            # lorentzian_peak's float path
+            # count_rate(peak, background, target - line, fwhm) in floats:
+            # the operations numpy applies to a scalar (``** 2`` is libm
+            # ``pow`` in both), so the same value
             y = 2.0 * (target_ghz - (shift + drift_ghz)) / fwhm_ghz
             try:
                 y2 = y ** 2

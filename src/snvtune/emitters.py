@@ -105,8 +105,6 @@ class TuningCurve:
     """
 
     def __init__(self, emitter: EmitterModel, device: DeviceModel):
-        self.emitter = emitter
-        self.device = device
         cal = device.calibration
         self._scale_per_v2 = self._da1g = self._c_g = self._c_u = 0.0
         if not emitter.is_bulk:

@@ -28,32 +28,17 @@ MHZ_PER_GHZ = 1000.0
 _LN2 = np.log(2.0)
 # largest mean numpy's Poisson sampler accepts (numpy.random's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
-# 0-d operands: ufuncs take them faster than Python floats
-_ONE, _TWO = np.asarray(1.0), np.asarray(2.0)
-
-
-def lorentzian_peak(x, fwhm_ghz):
-    """Unit-peak Lorentzian, x and FWHM in the same units.
-
-    A Python float takes a ``math`` path with the operations numpy applies to
-    a scalar (``** 2`` is libm ``pow`` in both), so it gives the same value.
-    """
-    if isinstance(x, float):
-        y = 2.0 * x / fwhm_ghz
-        try:
-            y2 = y ** 2
-        except OverflowError:  # numpy returns inf here
-            y2 = math.inf
-        return 1.0 / (1.0 + y2)
-    return _ONE / (_ONE + (_TWO * np.asarray(x, dtype=float) / fwhm_ghz) ** 2)
 
 
 def count_rate(peak, background, detuning_ghz, fwhm_ghz):
-    """Count rate of a line ``detuning_ghz`` away from the probe frequency.
+    """Count rate of a line ``detuning_ghz`` away from the probe frequency:
+    ``peak`` times a unit-peak Lorentzian of FWHM ``fwhm_ghz``, plus
+    ``background``.
 
     Even in the detuning, so scans and probes may pass it with either sign.
     """
-    return peak * lorentzian_peak(detuning_ghz, fwhm_ghz) + background
+    x = np.asarray(detuning_ghz, dtype=float)
+    return peak * (1.0 / (1.0 + (2.0 * x / fwhm_ghz) ** 2)) + background
 
 
 def effective_linewidth(emitter: EmitterModel, shift_ghz: float) -> float:

@@ -176,19 +176,33 @@ def ou_jump_mc_std(tau_s, sigma_ghz, jump_rate_hz, jump_sigma_ghz, dt_s,
     return float(np.std(samples))
 
 
-def geometric_heat_steady_state(pulse, cooldown, tau) -> float:
-    """Partial-sum evaluation of the heat recurrence (no closed form used).
+def pulsed_heat_peak(pulse, cooldown, tau, step=1.0) -> float:
+    """Peak heat of a pulse train in its periodic steady state, in us.
 
-    Iterates T <- (T + pulse) * exp(-(pulse+cooldown)/tau) until converged.
+    Time-steps dT/dt = 1 - T/tau while the pulse is on and -T/tau during the
+    cooldown with classical Runge-Kutta (steps of at most ``step``), from
+    T = 0, period after period, until the heat at the end of a pulse stops
+    changing.  No closed form is used.
     """
-    alpha = np.exp(-(pulse + cooldown) / tau)
-    t = 0.0
-    for _ in range(10000):
-        t_next = (t + pulse) * alpha
-        if abs(t_next - t) < 1e-15 * max(1.0, abs(t_next)):
-            return t_next
-        t = t_next
-    return t
+    def advance(t, rate, duration):
+        n = max(1, int(np.ceil(duration / step)))
+        h = duration / n
+        for _ in range(n):
+            k1 = rate - t / tau
+            k2 = rate - (t + 0.5 * h * k1) / tau
+            k3 = rate - (t + 0.5 * h * k2) / tau
+            k4 = rate - (t + h * k3) / tau
+            t += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        return t
+
+    t = peak = 0.0
+    for _ in range(100_000):
+        t = advance(t, 1.0, pulse)
+        if abs(t - peak) <= 1e-13 * t:
+            return t
+        peak = t
+        t = advance(t, 0.0, cooldown)
+    raise RuntimeError("pulse train did not settle")
 
 
 def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,

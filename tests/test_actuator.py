@@ -1,13 +1,17 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hyp
 
 import snvtune as st
 from snvtune.actuator import DeviceGeometry, ThermalModel, hinge_point
 from snvtune.strain import DEFAULT_STRAIN_GUARD
 
-from oracles import geometric_heat_steady_state, second_derivative
+from oracles import pulsed_heat_peak, second_derivative
 
 
 class TestBendingProfile:
@@ -137,10 +141,9 @@ class TestThermalModel:
         th = device.thermal
         offset = st.pulsed_resonance_offset(th, 2 * th.max_pulse_us, 0.0, 75.0)
         assert offset < 0.0
-        # closed-form geometric-series evaluation of the relaxation recurrence
-        heat = geometric_heat_steady_state(2 * th.max_pulse_us, 0.0, th.relax_time_us)
-        safe = geometric_heat_steady_state(th.max_pulse_us, th.cooldown_time_us,
-                                           th.relax_time_us)
+        # the peak heat of a time-stepped pulse train
+        heat = pulsed_heat_peak(2 * th.max_pulse_us, 0.0, th.relax_time_us)
+        safe = pulsed_heat_peak(th.max_pulse_us, th.cooldown_time_us, th.relax_time_us)
         assert offset == pytest.approx(-th.heat_shift_coeff * (heat - safe), rel=1e-9)
 
     def test_monotone_in_cooldown(self, device):
@@ -148,6 +151,30 @@ class TestThermalModel:
         offsets = [st.pulsed_resonance_offset(th, 120.0, c, 75.0)
                    for c in (0.0, 200.0, 800.0, 2000.0, 6000.0)]
         assert all(a <= b for a, b in zip(offsets, offsets[1:]))
+
+    PULSES = hyp.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    COOLDOWNS = hyp.floats(min_value=0.0, allow_infinity=False)
+
+    @given(pulses=hyp.tuples(PULSES, PULSES), cooldowns=hyp.tuples(COOLDOWNS, COOLDOWNS),
+           v=hyp.floats(0.0, 80.0))
+    @example(pulses=(5e-324, 5e-324), cooldowns=(0.0, 5e-324), v=75.0)
+    @example(pulses=(5e-324, sys.float_info.max), cooldowns=(0.0, 1e-300), v=75.0)
+    @example(pulses=(1e-300, 1e6), cooldowns=(0.0, sys.float_info.max), v=80.0)
+    @settings(deadline=None)
+    def test_monotone_finite_with_dc_limit(self, device, pulses, cooldowns, v):
+        th = device.thermal
+
+        def offset(pulse, cooldown):
+            value = st.pulsed_resonance_offset(th, pulse, cooldown, v)
+            assert math.isfinite(value) and value <= 0.0
+            return value
+
+        short, long = sorted(pulses)
+        less, more = sorted(cooldowns)
+        assert offset(long, less) <= offset(short, less)
+        assert offset(short, less) <= offset(short, more)
+        # no cooldown: every pulse is DC
+        assert offset(short, 0.0) == offset(long, 0.0) == offset(1e9, 0.0)
 
     def test_scales_with_voltage_squared(self, device):
         th = device.thermal

@@ -16,7 +16,7 @@ from snvtune import config as config_module
 from snvtune.cli import derive_seed, main
 from snvtune.config import default_config_text, matched_sample_path, parse_config
 
-from oracles import read_scan
+from oracles import pulsed_heat_peak, read_scan
 
 
 def run_cli(*args) -> int:
@@ -116,7 +116,7 @@ class TestTuneCurve:
         grid = np.linspace(0.0, 80.0, 1000)
         emitter = config.emitter(name)
         exact = dataclasses.replace(emitter, nu0=0.0)
-        shifts = cli._tune_one((config, name, grid))[0]
+        shifts = cli._tune_one(config, name, grid)[0]
         chain = [st.shift_from_voltage_chain(exact, config.device, v) for v in grid]
         assert np.max(np.abs(shifts - chain)) <= 1e-12
 
@@ -198,34 +198,32 @@ class TestPle:
         assert meta["counts_kind"] == "float"
         np.testing.assert_allclose(columns[1], columns[2], rtol=1e-11)
 
-    def test_jobs_pool_capped_at_task_count(self, tmp_path, monkeypatch):
-        workers = []
+    def test_jobs_start_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ple started a process pool")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         args = ("ple", "--emitter", "axial_hinge", "--bias", "0,10,20,30,40",
                 "--points", "21")
-        run_cli("--out", tmp_path / "serial", *args)
-        run_cli("--out", tmp_path / "par", "--jobs", "64", *args)
-        assert len(workers) == 1 and workers[0] <= 5
+        assert run_cli("--out", tmp_path / "serial", "--jobs", "1", *args) == 0
+        assert run_cli("--out", tmp_path / "par", "--jobs", "4", *args) == 0
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert len(names) == 10
         assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
         for name in names:
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "par" / name).read_bytes())
+
+    def test_refused_scan_leaves_no_earlier_scan(self, tmp_path, capsys):
+        # the 75 V scan is all background and draws; on resonance at 0 V
+        # the expected counts pass the Poisson sampler's limit
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "ple", "--emitter", "axial_hinge",
+                       "--bias", "75,0", "--center", "0", "--span", "0.1",
+                       "--points", "11", "--dwell", "1e16") == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Poisson" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bias", ["-5", "500", "1000"])
     @pytest.mark.parametrize("verb", [
@@ -386,6 +384,34 @@ class TestStabilize:
         assert (tmp_path / "stabilize_summary_5.json").exists()
         assert (tmp_path / "stabilize_summary_6.json").exists()
 
+    def test_jobs_pool_capped_at_task_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        args = ("stabilize", "--seeds", "1,2,3", "--duration", "30", "--scans", "1")
+        assert run_cli("--out", tmp_path / "serial", *args) == 0
+        assert run_cli("--out", tmp_path / "par", "--jobs", "64", *args) == 0
+        assert len(workers) == 1 and workers[0] <= 3
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(names) == 9
+        assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "par" / name).read_bytes())
+
 
 class TestCalibratePulse:
     def test_safe_point_row_zero_and_marked(self, tmp_path):
@@ -407,16 +433,29 @@ class TestCalibratePulse:
         assert offsets[0] < 0.0
 
     def test_boundary_matches_relaxation_oracle(self, tmp_path, config):
-        from oracles import geometric_heat_steady_state
         run_cli("--out", tmp_path, "calibrate-pulse", "--pulses", "100",
-                "--cooldowns", "0")
+                "--cooldowns", "0,500")
         rows = read_csv_rows(tmp_path / "pulse_calibration.csv")
         th = config.device.thermal
-        heat = geometric_heat_steady_state(100.0, 0.0, th.relax_time_us)
-        safe = geometric_heat_steady_state(th.max_pulse_us, th.cooldown_time_us,
-                                           th.relax_time_us)
-        expected = -th.heat_shift_coeff * (heat - safe)
-        assert float(rows[0]["offset_GHz"]) == pytest.approx(expected, rel=1e-9)
+        safe = pulsed_heat_peak(th.max_pulse_us, th.cooldown_time_us, th.relax_time_us)
+        for row in rows:
+            heat = pulsed_heat_peak(100.0, float(row["cooldown_us"]), th.relax_time_us)
+            expected = -th.heat_shift_coeff * (heat - safe)
+            assert float(row["offset_GHz"]) == pytest.approx(expected, rel=1e-9)
+
+    def test_no_cooldown_is_dc_for_every_pulse(self, tmp_path, config):
+        # with no cooldown the heat never relaxes: any pulse, from 1e-300 us
+        # to 100 ms, heats as a DC bias does, and none is safe
+        assert run_cli("--out", tmp_path, "calibrate-pulse", "--pulses",
+                       "1e-300,200,1000,3000,10000,100000", "--cooldowns", "0") == 0
+        rows = read_csv_rows(tmp_path / "pulse_calibration.csv")
+        th = config.device.thermal
+        safe = pulsed_heat_peak(th.max_pulse_us, th.cooldown_time_us, th.relax_time_us)
+        dc = -th.heat_shift_coeff * (th.relax_time_us - safe)
+        assert len(rows) == 6
+        for row in rows:
+            assert row["safe"] == "0"
+            assert float(row["offset_GHz"]) == pytest.approx(dc, rel=1e-9)
 
 
 class TestMalformedArguments:
@@ -534,6 +573,21 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run_cli("--config", bad, "--out", out, "tune-curve") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a,b", "a/b", "a\\b", "a\tb", "a\r\nb", "\x00"],
+                             ids=["comma", "slash", "backslash", "tab", "crlf", "nul"])
+    def test_unusable_emitter_id_exits_2(self, tmp_path, capsys, name):
+        # a comma splits an --emitters list, a slash or backslash would put a
+        # ple file in a subdirectory
+        doc = json.loads(default_config_text())
+        doc["emitters"][1]["id"] = name
+        bad = tmp_path / "ids.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("--config", bad, "--out", out, "ple", "--emitter", name) == 2
+        err = capsys.readouterr().err
+        assert "error: emitters[1].id: " in err and "Traceback" not in err
         assert not out.exists()
 
     def test_every_field_of_a_built_section_is_reachable(self, monkeypatch):

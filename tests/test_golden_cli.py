@@ -5,8 +5,8 @@ sidecar).  A change to number formatting, quoting, line endings, headers or
 sidecars moves at least one of them.  The ``dim`` stabilize run uses an
 emitter so faint that some lock-in probes see no photons, so its updates
 file has empty error cells.  The ``quoted`` tune-curve run renames two
-emitters to ids that csv must quote (a comma with double quotes, and a line
-break); its digest was taken from ``csv.writer`` output.
+emitters to ids with double quotes, which csv must quote (a comma or a line
+break is refused in an id); its digest was taken from ``csv.writer`` output.
 """
 
 import ast
@@ -24,7 +24,7 @@ from snvtune.config import default_config_text
 SEED = "7"
 DIM_CONFIG = "{dim}"
 QUOTED_CONFIG = "{quoted}"
-QUOTED_IDS = {"axial_hinge": 'hinge, "A"', "axial_mid": "mid\r\nB"}
+QUOTED_IDS = {"axial_hinge": 'hinge "A"', "axial_mid": '"mid"'}
 
 RUNS = {
     "tune-curve": ["tune-curve", "--steps", "9"],
@@ -54,11 +54,12 @@ GOLDEN = {
     "tune-curve-jobs": TUNE_CURVE,
     "tune-curve-quoted": {
         "tune_curve.csv":
-            "081967267b57709f95656254b52a70d7c56be2ba5f68d48d5af16d1df4965b93",
+            "516f8335501905117abc606fc4ab5ddaaf3206fa11989cba17ceca5d26ec988f",
     },
+    # offsets from the periodic-steady-state peak heat
     "calibrate-pulse": {
         "pulse_calibration.csv":
-            "6d604a42c37760e5bbb18f63b96ecbe47e5f757398e2e282fcc78678bcf1d07d",
+            "5d6ce341f831a5e4f787afc71d5dfca3939feec28dc6a22e657265fb272a2041",
     },
     "inhomo-matched": {
         "inhomo_cdf.csv":

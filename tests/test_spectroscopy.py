@@ -44,25 +44,22 @@ class TestCountRate:
     DETUNINGS = [0.0, 5e-324, 1e-300, 0.095, 0.19, 1.0, 40.0, 1e153, 1.3e153,
                  1e300, sys.float_info.max]
 
-    @pytest.mark.parametrize("kind", ["array", "float"])
-    def test_even_in_detuning_bit_for_bit(self, kind):
-        # scans pass detuning - center and the probes target - line
-        fwhm = 0.19
-        if kind == "array":  # the lock-in's 0-d rates
-            d = np.array(self.DETUNINGS)
-            peak, background = np.asarray(20000.0), np.asarray(200.0)
-            with np.errstate(over="ignore"):
-                plus = count_rate(peak, background, d, fwhm)
-                minus = count_rate(peak, background, -d, fwhm)
-            assert plus.tobytes() == minus.tobytes()
-            assert plus[-1] == 200.0  # far from the line: the background
-        else:  # the CR check's math path
-            for d in self.DETUNINGS:
-                plus = count_rate(20000.0, 200.0, d, fwhm)
-                minus = count_rate(20000.0, 200.0, -d, fwhm)
-                assert type(plus) is type(minus) is float
-                assert plus.hex() == minus.hex()
-            assert plus == 200.0
+    def test_even_in_detuning_bit_for_bit(self):
+        # scans pass detuning - center and cr_check target - line
+        d = np.array(self.DETUNINGS)
+        with np.errstate(over="ignore"):
+            plus = count_rate(20000.0, 200.0, d, 0.19)
+            minus = count_rate(20000.0, 200.0, -d, 0.19)
+        assert plus.tobytes() == minus.tobytes()
+        assert plus[-1] == 200.0  # far from the line: the background
+
+    def test_float_detuning_matches_the_array_bit_for_bit(self):
+        d = np.array(self.DETUNINGS)
+        with np.errstate(over="ignore"):
+            rates = count_rate(20000.0, 200.0, np.concatenate([d, -d]), 0.19)
+            singles = [count_rate(20000.0, 200.0, x, 0.19)
+                       for x in [*self.DETUNINGS, *(-d).tolist()]]
+        assert np.array(singles).tobytes() == rates.tobytes()
 
 
 class TestSimulatePle:
