@@ -185,7 +185,12 @@ def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
         raise InputError("pulse duration must be finite and > 0, cooldown finite and >= 0")
     if not 0.0 <= v < math.inf:
         raise InputError("voltage must be finite and >= 0")
-    heat = _peak_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
+    try:
+        heat = _peak_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        heat = math.inf
     safe = _peak_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
-    excess = max(0.0, heat - safe)
-    return -thermal.heat_shift_coeff * excess + 0.0
+    offset = -thermal.heat_shift_coeff * max(0.0, heat - safe) + 0.0
+    if not math.isfinite(offset):
+        raise RangeError(f"bias {v:g} V heats the device beyond the float range")
+    return offset

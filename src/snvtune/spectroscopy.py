@@ -161,17 +161,18 @@ def simulate_ple(emitter: EmitterModel, device: DeviceModel, v: float,
 
 
 def _lorentz_model(x, amp, center, fwhm, bg):
-    return amp / (1.0 + (2.0 * (x - center) / fwhm) ** 2) + bg
+    u = 2.0 * (x - center) / fwhm
+    den = 1.0 + u * u
+    return amp / den + bg, (u, den)
 
 
-def _lorentz_jac(x, amp, center, fwhm, bg):
+def _lorentz_jac(u, den, amp, center, fwhm, bg):
     # u = 2 (x - center) / fwhm, L = 1 / (1 + u^2) and dL/du = -2 u L^2,
     # chained through du/dcenter = -2 / fwhm and du/dfwhm = -u / fwhm;
     # k = -(d model / du) / fwhm.
-    u = 2.0 * (x - center) / fwhm
-    lor = 1.0 / (1.0 + u * u)
+    lor = 1.0 / den
     k = 2.0 * amp * u * lor * lor / fwhm
-    jac = np.empty((x.size, 4))
+    jac = np.empty((u.size, 4))
     jac[:, 0] = lor
     jac[:, 1] = 2.0 * k
     jac[:, 2] = u * k
@@ -183,24 +184,21 @@ def _pseudo_voigt_model(x, amp, center, fwhm, eta, bg):
     # Unit-peak mix of a Lorentzian and a Gaussian of common FWHM; within
     # about 1% of a true Voigt profile over the fitted range, far below
     # photon noise at realistic count rates.
-    u2 = ((x - center) / (0.5 * fwhm)) ** 2
-    lor = 1.0 / (1.0 + u2)
-    gau = np.exp(-_LN2 * u2)
-    return amp * (eta * lor + (1.0 - eta) * gau) + bg
-
-
-def _pseudo_voigt_jac(x, amp, center, fwhm, eta, bg):
-    # u = (x - center) / (fwhm / 2), L = 1 / (1 + u^2), G = exp(-ln2 u^2);
-    # dL/du = -2 u L^2 and dG/du = -2 ln2 u G, chained through
-    # du/dcenter = -2 / fwhm and du/dfwhm = -u / fwhm;
-    # k = -(d model / du) / fwhm.
     u = (x - center) / (0.5 * fwhm)
     u2 = u * u
     lor = 1.0 / (1.0 + u2)
     gau = np.exp(-_LN2 * u2)
+    mix = eta * lor + (1.0 - eta) * gau
+    return amp * mix + bg, (u, lor, gau, mix)
+
+
+def _pseudo_voigt_jac(u, lor, gau, mix, amp, center, fwhm, eta, bg):
+    # with the model's u, L and G: dL/du = -2 u L^2 and dG/du = -2 ln2 u G,
+    # chained through du/dcenter = -2 / fwhm and du/dfwhm = -u / fwhm;
+    # k = -(d model / du) / fwhm.
     k = 2.0 * amp * u * (eta * lor * lor + (1.0 - eta) * _LN2 * gau) / fwhm
-    jac = np.empty((x.size, 5))
-    jac[:, 0] = eta * lor + (1.0 - eta) * gau
+    jac = np.empty((u.size, 5))
+    jac[:, 0] = mix
     jac[:, 1] = 2.0 * k
     jac[:, 2] = u * k
     jac[:, 3] = amp * (lor - gau)
@@ -226,31 +224,32 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
     the trial point is clipped into the box.  The solver stops when the
     step predicts a cost decrease below ``_LM_TOL`` of the cost, so it
     returns the least-squares optimum to rounding.  ``w=None`` means unit
-    weights and gives the same bits as ``w=np.ones_like(y)``.  Returns the
-    parameters and the weighted normal matrix ``JᵀWJ`` there.  Raises
-    :class:`_FitFailed` at the evaluation cap or on a non-finite cost, and
-    ``LinAlgError`` on a singular system.
+    weights and gives the same bits as ``w=np.ones_like(y)``.  ``model``
+    returns the values and the ``parts`` of ``jac(*parts, *p)``, so each
+    point is evaluated once.  Returns the parameters, ``JᵀWJ`` and the
+    model values there.  Raises :class:`_FitFailed` at the evaluation cap
+    or on a non-finite cost, and ``LinAlgError`` on a singular system.
 
     An iteration on 4-5 parameters costs numpy call overhead, not
     arithmetic, so the loop makes few calls: parameters reach the model as
     Python floats, the active set is found on floats, and the all-free case
     skips the fancy-index copies.
     """
-    def residual(q):
-        r = model(x, *q.tolist()) - y
-        return r if w is None else w * r
+    def evaluate(q):  # the model's (values, parts), the residual and the cost
+        fx = model(x, *q.tolist())
+        r = fx[0] - y if w is None else w * (fx[0] - y)
+        cost = float(r @ r)
+        if not math.isfinite(cost):
+            raise _FitFailed("non-finite cost")
+        return fx, r, cost
 
     p = np.clip(np.asarray(p0, dtype=float), lo, hi)
     bounds = list(zip(lo.tolist(), hi.tolist()))
-    r = residual(p)
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        raise _FitFailed("non-finite cost")
-    lam, nu = 1e-3, 2.0
-    normal = None
+    fx, r, cost = evaluate(p)
+    lam, nu, normal = 1e-3, 2.0, None
     for _ in range(_LM_MAX_EVALS):
         if normal is None:
-            j = jac(x, *p.tolist())
+            j = jac(*fx[1], *p.tolist())
             if w is not None:
                 j = w[:, None] * j
             normal = j.T @ j
@@ -258,10 +257,8 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
             free = [not ((pi <= l and g > 0.0) or (pi >= h and g < 0.0))
                     for pi, g, (l, h) in zip(p.tolist(), grad.tolist(), bounds)]
             all_free = all(free)
-            if all_free:
-                a_free, g_free = normal, grad
-            else:
-                a_free, g_free = normal[free][:, free], grad[free]
+            a_free, g_free = ((normal, grad) if all_free
+                              else (normal[free][:, free], grad[free]))
             neg_g = -g_free
             scale = a_free.diagonal()
             damping = np.diag(scale)
@@ -269,20 +266,17 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
         # decrease of the linearized cost ||r + J step||^2
         predicted = float(step @ (lam * scale * step - g_free))
         if predicted <= _LM_TOL * cost:
-            return p, normal
+            return p, normal, fx[0]
         if all_free:
             trial = p + step
         else:
             trial = p.copy()
             trial[free] += step
         trial = np.minimum(np.maximum(trial, lo), hi)
-        r_trial = residual(trial)
-        cost_trial = float(r_trial @ r_trial)
-        if not math.isfinite(cost_trial):
-            raise _FitFailed("non-finite cost")
+        fx_trial, r_trial, cost_trial = evaluate(trial)
         gain = (cost - cost_trial) / predicted
         if gain > 0.0:
-            p, r, cost, normal = trial, r_trial, cost_trial, None
+            p, fx, r, cost, normal = trial, fx_trial, r_trial, cost_trial, None
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
         else:
@@ -300,8 +294,9 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     data yields ``converged=False`` instead of raising; fewer than 8 points
     or no signal above the background estimate is an input error.  Both
     passes run :func:`_least_squares` inside the parameter bounds with the
-    models' closed-form Jacobians; ``center_stderr`` comes from the inverse
-    of the weighted normal matrix at the optimum.
+    models' closed-form Jacobians; pass one returns the model values that
+    set the weights, and ``center_stderr`` comes from the inverse of the
+    weighted normal matrix at the optimum.
     """
     if shape not in ("lorentzian", "voigt"):
         raise InputError(f"unknown line shape {shape!r}")
@@ -335,16 +330,15 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     try:
         # non-finite data surfaces as a non-finite cost, not as a warning
         with np.errstate(invalid="ignore", over="ignore"):
-            popt, _ = _least_squares(model, jac, x, y, None, p0, lo, hi)
-            w = 1.0 / np.sqrt(np.maximum(model(x, *popt.tolist()), 1.0))
-            popt, normal = _least_squares(model, jac, x, y, w, popt, lo, hi)
+            popt, _, fitted = _least_squares(model, jac, x, y, None, p0, lo, hi)
+            w = 1.0 / np.sqrt(np.maximum(fitted, 1.0))
+            popt, normal, _ = _least_squares(model, jac, x, y, w, popt, lo, hi)
         pcov = np.linalg.inv(normal)  # absolute Poisson weights: no rescaling
     except (_FitFailed, np.linalg.LinAlgError):
         return FitResult(center=c0, fwhm=fwhm0 * MHZ_PER_GHZ, amplitude=amp0,
                          center_stderr=np.inf, converged=False, background=bg0)
 
-    amp, center, fwhm_ghz = popt[0], popt[1], popt[2]
-    bg = popt[-1]
+    amp, center, fwhm_ghz, bg = popt[0], popt[1], popt[2], popt[-1]
     eta = float(popt[3]) if shape == "voigt" else None
     stderr = float(np.sqrt(np.abs(pcov[1, 1])))
     ok = (np.isfinite(stderr) and fwhm_ghz > 0.0

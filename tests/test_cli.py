@@ -458,6 +458,21 @@ class TestCalibratePulse:
             assert float(row["offset_GHz"]) == pytest.approx(dc, rel=1e-9)
 
 
+    @pytest.mark.parametrize("bias", ["1e200", "1e155"])
+    def test_offset_past_float_range_exits_3(self, tmp_path, capsys, bias):
+        # the squared bias overflows (1e200 V) or the heat times the shift
+        # coefficient does (1e155 V): a range error, not a traceback or a
+        # -inf row
+        doc = json.loads(default_config_text())
+        doc["device"]["calibration"]["v_max"]["value"] = 1e300
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", path, "calibrate-pulse",
+                       "--bias", bias, "--pulses", "100") == 3
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestMalformedArguments:
     CASES = [
         ("ple", "--emitter", "axial_hinge", "--bias", "x"),

@@ -210,12 +210,14 @@ class TestFitJacobians:
                 (spectroscopy._pseudo_voigt_model, spectroscopy._pseudo_voigt_jac,
                  (amp, center, fwhm, eta, bg),
                  (1e-5 * amp, 1e-5 * fwhm, 1e-5 * fwhm, 1e-5, 1e-5 * max(bg, 1.0)))):
-            analytic = jac(x, *params)
-            numeric = central_difference_jacobian(model, x, params, steps)
+            values, parts = model(x, *params)
+            analytic = jac(*parts, *params)
+            numeric = central_difference_jacobian(
+                lambda *a, _m=model: _m(*a)[0], x, params, steps)
             assert analytic.shape == (x.size, len(params))
             # absolute floor: the rounding error of the differenced model
             # values over the step, plus a sliver of the column's scale
-            rounding = 16.0 * np.finfo(float).eps * np.abs(model(x, *params)).max()
+            rounding = 16.0 * np.finfo(float).eps * np.abs(values).max()
             for a, n, h in zip(analytic.T, numeric.T, steps):
                 floor = rounding / h + 1e-8 * np.abs(n).max()
                 np.testing.assert_allclose(a, n, rtol=1e-6, atol=floor)
@@ -250,8 +252,10 @@ class TestFitJacobians:
         # the model once more per parameter for every Jacobian.  On this
         # scan scipy's finite-difference fits took 61 (Lorentzian) and 67
         # (pseudo-Voigt) model evaluations; the Levenberg-Marquardt fits
-        # with closed-form Jacobians take 16 and 18, and about 19 per fit
-        # on average over the benchmark's scan_fit round.
+        # with closed-form Jacobians take 15 and 17, and about 18 per fit
+        # on average over the benchmark's scan_fit round.  At least one call
+        # must be counted: a fit_line that bound the models at import time,
+        # out of the monkeypatch's reach, fails here.
         calls = []
         for name in ("_lorentz_model", "_pseudo_voigt_model"):
             model = getattr(spectroscopy, name)
@@ -263,7 +267,7 @@ class TestFitJacobians:
         for shape in ("lorentzian", "voigt"):
             calls.clear()
             assert st.fit_line(scan, shape).converged
-            assert len(calls) <= 30, shape
+            assert 0 < len(calls) <= 30, shape
 
 
 class TestFitGolden:
@@ -279,9 +283,9 @@ class TestFitGolden:
         optima = []
 
         def recording(model, jac, x, y, w, p0, lo, hi):
-            p, normal = solve(model, jac, x, y, w, p0, lo, hi)
+            p, normal, values = solve(model, jac, x, y, w, p0, lo, hi)
             optima.append((model.__name__, p, lo, hi))
-            return p, normal
+            return p, normal, values
 
         monkeypatch.setattr(spectroscopy, "_least_squares", recording)
         digest = hashlib.sha256()
@@ -319,12 +323,74 @@ class TestFitGolden:
         assert len(unweighted) == 2
         held = 0
         for model, jac, x, y, p0, lo, hi in unweighted:
-            p_none, n_none = solve(model, jac, x, y, None, p0, lo, hi)
-            p_ones, n_ones = solve(model, jac, x, y, np.ones_like(y), p0, lo, hi)
+            p_none, n_none, _ = solve(model, jac, x, y, None, p0, lo, hi)
+            p_ones, n_ones, _ = solve(model, jac, x, y, np.ones_like(y), p0, lo, hi)
             assert p_none.tobytes() == p_ones.tobytes()
             assert n_none.tobytes() == n_ones.tobytes()
             held += model is spectroscopy._pseudo_voigt_model and p_none[3] == 1.0
         assert held == 1
+
+
+class TestSolverKeepsItsEvaluation:
+    """``_least_squares`` returns the model values at the parameters it
+    returns: the evaluation kept with the accepted point, never that of a
+    trial the solver rejected after it."""
+
+    GRID = np.linspace(-1.0, 1.0, 41)
+
+    def replay(self, axial, device, seed, dwell, shape):
+        # fit_line's solves on one scan, each replayed with its model
+        # evaluations recorded: (weighted, rejected last trial) per solve
+        solve = spectroscopy._least_squares
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return solve(*args)
+
+        scan = st.simulate_ple(axial, device, 0.0, self.GRID, dwell, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectroscopy, "_least_squares", recording)
+            st.fit_line(scan, shape)
+        solves = []
+        for model, jac, x, y, w, p0, lo, hi in calls:
+            evaluated = []
+
+            def counted(x, *p, _model=model):
+                evaluated.append(p)
+                return _model(x, *p)
+
+            try:
+                p, _, values = solve(counted, jac, x, y, w, p0, lo, hi)
+            except spectroscopy._FitFailed:
+                continue
+            fresh, _ = model(x, *p.tolist())
+            assert values.tobytes() == fresh.tobytes()
+            solves.append((w is not None, evaluated[-1] != tuple(p.tolist())))
+        return solves
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=hyp.integers(0, 2**32 - 1),
+           dwell=hyp.sampled_from([0.002, 0.005, 0.02]),
+           shape=hyp.sampled_from(["lorentzian", "voigt"]))
+    def test_returned_values_match_a_fresh_evaluation(self, axial, device,
+                                                      seed, dwell, shape):
+        # each fit runs an unweighted and a Poisson-weighted solve
+        solves = self.replay(axial, device, seed, dwell, shape)
+        assert [weighted for weighted, _ in solves] == [False, True]
+
+    # scans whose solve of the given pass ends on a rejected trial: the last
+    # evaluation the solver made is not at the point it returns
+    @pytest.mark.parametrize("seed, dwell, shape, weighted", [
+        (1384, 0.02, "lorentzian", False),
+        (51, 0.005, "voigt", False),
+        (692, 0.02, "voigt", True),
+    ])
+    def test_rejected_last_trial_leaves_no_stale_values(self, axial, device,
+                                                        seed, dwell, shape,
+                                                        weighted):
+        solves = self.replay(axial, device, seed, dwell, shape)
+        assert (weighted, True) in solves
 
 
 class TestFitFailure:
@@ -360,7 +426,9 @@ class TestFitFailure:
 
         def nan_after_first(x, *params):
             calls.append(1)
-            return model(x, *params) if len(calls) == 1 else np.full(x.shape, np.nan)
+            if len(calls) == 1:
+                return model(x, *params)
+            return np.full(x.shape, np.nan), ()
 
         monkeypatch.setattr(spectroscopy, "_lorentz_model", nan_after_first)
         self.assert_fallback(scan, st.fit_line(scan, "lorentzian"))
