@@ -105,7 +105,7 @@ def _tune_one(cfg: RunConfig, name: str, voltages: np.ndarray) -> np.ndarray:
     curve must agree with it there to 1e-9 relative (``ContractError``).
     """
     emitter = cfg.emitter(name)
-    shifts = np.array(TuningCurve(emitter, cfg.device).shifts(0.0, voltages.tolist()))
+    shifts = np.array(TuningCurve(emitter, cfg.device).shifts(voltages.tolist()))
     for v, shift in ((voltages[0], shifts[0]), (voltages[-1], shifts[-1])):
         chain = shift_from_voltage_chain(emitter, cfg.device, v)
         if not abs(shift - chain) <= 1e-9 * max(abs(chain), 1.0):

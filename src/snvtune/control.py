@@ -195,8 +195,7 @@ class _LockIn:
     weight, span in s) per group as Python floats.
     """
 
-    __slots__ = ("groups", "_offsets", "_shifts", "_emitter", "_peak",
-                 "_background")
+    __slots__ = ("groups", "_constants", "_emitter", "_peak", "_background")
 
     def __init__(self, emitter: EmitterModel, curve: TuningCurve,
                  cfg: LockInConfig):
@@ -207,9 +206,7 @@ class _LockIn:
             sin = math.sin(2.0 * math.pi * (bins[0] + 0.5) / b)
             self.groups.append((cfg.mod_amp_v * sin, sin,
                                 len(bins) * (cfg.probe_duration_s / n)))
-        # the DC bias first, then each group's
-        self._offsets = (0.0, *(offset_v for offset_v, _, _ in self.groups))
-        self._shifts = curve.shifts
+        self._constants = curve.constants
         self._emitter = emitter
         self._peak = float(emitter.peak_rate)
         self._background = float(emitter.background_rate)
@@ -217,34 +214,49 @@ class _LockIn:
     def probe(self, dc_voltage: float, drift_ghz: float, target_ghz: float,
               poisson=None) -> tuple[float, float, float]:
         """Total counts, first-harmonic (sin-weighted) sum and the CR count
-        rate at the DC bias of one probe.
+        rate at the DC bias of one probe, for a Python float bias.
 
-        One :meth:`TuningCurve.shifts` call gives the line at the DC bias
-        and at each group's bias; the linewidth is the one at the DC bias.
-        ``poisson`` (a generator's) draws each group's counts in group
-        order; None sums the expected counts.
+        The line at the DC bias, then at each group's bias, is
+        :meth:`TuningCurve.shifts`'s closed form on the curve's
+        ``constants``, evaluated where its rate is needed; the linewidth is
+        the one at the DC bias.  ``poisson`` (a generator's) draws each
+        group's counts in group order; None sums the expected counts.
         """
-        shifts = self._shifts(dc_voltage, self._offsets)
-        fwhm_ghz = effective_linewidth(self._emitter, shifts[0]) / MHZ_PER_GHZ
+        k, da1g, c_g, c_u, lam_g, lam_u, lam_g2, lam_u2 = self._constants
+        sqrt = math.sqrt
         peak, background = self._peak, self._background
-        rates = []
-        for shift in shifts:
-            # count_rate(peak, background, target - line, fwhm) in floats:
-            # the operations numpy applies to a scalar (``** 2`` is libm
-            # ``pow`` in both), so the same value
+        # TuningCurve.shifts at the DC bias, and count_rate(peak, background,
+        # target - line, fwhm) in floats: the operations numpy applies to a
+        # scalar (``** 2`` is libm ``pow`` in both), so the same value
+        s = k * (dc_voltage * dc_voltage)
+        s2 = s * s
+        shift = (s * da1g - 0.5 * (sqrt(lam_u2 + c_u * s2) - lam_u)
+                 + 0.5 * (sqrt(lam_g2 + c_g * s2) - lam_g))
+        fwhm_ghz = effective_linewidth(self._emitter, shift) / MHZ_PER_GHZ
+        y = 2.0 * (target_ghz - (shift + drift_ghz)) / fwhm_ghz
+        try:
+            y2 = y ** 2
+        except OverflowError:  # numpy returns inf here
+            y2 = math.inf
+        cr_rate = peak * (1.0 / (1.0 + y2)) + background
+        total = demod = 0.0
+        for offset_v, sin, span_s in self.groups:
+            # the same line and rate at the group's bias
+            v = dc_voltage + offset_v
+            s = k * (v * v)
+            s2 = s * s
+            shift = (s * da1g - 0.5 * (sqrt(lam_u2 + c_u * s2) - lam_u)
+                     + 0.5 * (sqrt(lam_g2 + c_g * s2) - lam_g))
             y = 2.0 * (target_ghz - (shift + drift_ghz)) / fwhm_ghz
             try:
                 y2 = y ** 2
-            except OverflowError:  # numpy returns inf here
+            except OverflowError:
                 y2 = math.inf
-            rates.append(peak * (1.0 / (1.0 + y2)) + background)
-        total = demod = 0.0
-        for (_, sin, span_s), rate in zip(self.groups, rates[1:]):
-            mean = span_s * rate
+            mean = span_s * (peak * (1.0 / (1.0 + y2)) + background)
             counts = mean if poisson is None else poisson(mean)
             total += counts
             demod += sin * counts
-        return total, demod, rates[0]
+        return total, demod, cr_rate
 
 
 @dataclass(frozen=True)
@@ -275,7 +287,7 @@ def calibrate_lockin(state: EmitterState, target_ghz: float,
     raw demodulated counts into a frequency error, exactly what a hardware
     lock-in calibration sweep would measure.
     """
-    probe, dc = _LockIn(state.emitter, curve, cfg).probe, state.dc_voltage
+    probe, dc = _LockIn(state.emitter, curve, cfg).probe, float(state.dc_voltage)
     shift = curve.shift(dc)
     h = effective_linewidth(state.emitter, shift) / MHZ_PER_GHZ / 100.0
     on_res = target_ghz - shift
@@ -302,7 +314,7 @@ def lockin_error(state: EmitterState, target_ghz: float, cfg: LockInConfig,
     invalid (the caller holds the last voltage).
     """
     total, demod, _ = _LockIn(state.emitter, curve, cfg).probe(
-        state.dc_voltage, state.drift_ghz, target_ghz,
+        float(state.dc_voltage), state.drift_ghz, target_ghz,
         None if rng is None else rng.poisson)
     if total <= 0.0 or calibration.sensitivity == 0.0:
         return LockInResult(error_ghz=0.0, valid=False)
@@ -417,9 +429,14 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     The frame loop makes the draws and float operations of
     :meth:`DriftProcess.step`, :func:`lockin_error`, :func:`cr_check` and
     :func:`pid_update` in their order, with every per-run constant built
-    before the loop: one frame makes one lock-in probe call, which gives
-    the CR check's count rate too, and runs the drift, CR and PID steps on
-    locals.
+    before the loop.  One frame makes one lock-in probe call, which
+    evaluates the line at the DC bias and then each phase group's line in
+    the loop that draws that group's counts, and gives the CR check's count
+    rate too.  The drift, CR, calibration and PID steps run on locals; the
+    OU noise is drawn as ``0.0 + std * standard_normal()``, the expression
+    ``normal(0.0, std)`` evaluates, and the PID clamps are conditional
+    expressions that pick what ``min`` and ``max`` pick.  A drift jump rate whose mean jump count
+    per frame is above the Poisson sampler's limit is a ``ConfigError``.
     """
     curve = TuningCurve(emitter, device)
     dt = 1.0 / pid_cfg.update_rate_hz
@@ -441,6 +458,11 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     # the PID may drive the bias anywhere up to output_max
     if pid_cfg.output_max + lockin_cfg.mod_amp_v > cal.v_max:
         raise ConfigError("bias modulation would exceed the actuator voltage limit")
+    decay, noise_std, jump_mean, jump_std = drift._step_terms(dt)
+    if jump_mean is not None and not jump_mean <= _POISSON_LAM_MAX:
+        raise ConfigError(f"drift jump rate {drift.jump_rate_hz:.3g} 1/s gives a mean "
+                          f"jump count per frame above the Poisson sampler's limit "
+                          f"of {_POISSON_LAM_MAX:.3g}")
 
     target = curve.shift(stab.operating_voltage)
 
@@ -464,15 +486,17 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             raise ConfigError(
                 "lock-in sensitivity vanishes at the operating point; "
                 "increase the operating voltage or modulation amplitude")
-        probe, poisson, error_of = lockin.probe, lockin_rng.poisson, calibration.error
+        probe, poisson = lockin.probe, lockin_rng.poisson
+        zero_offset, sensitivity = calibration.zero_offset, calibration.sensitivity
         cr_poisson, cr_s = cr_rng.poisson, cr_cfg.probe_duration_s
         threshold, attempts = cr_cfg.photon_threshold, range(cr_cfg.max_attempts)
         kp, ki, kd = pid_cfg.kp, pid_cfg.ki, pid_cfg.kd
-        limit, out_min, out_max = pid_cfg.integral_limit, pid_cfg.output_min, pid_cfg.output_max
+        limit, out_min, out_max = (float(pid_cfg.integral_limit), float(pid_cfg.output_min),
+                                   float(pid_cfg.output_max))
         neg_limit, isfinite = -limit, math.isfinite
         integral, last_error = 0.0, None  # pid_update's PIDState
-    decay, noise_std, jump_mean, jump_std = drift._step_terms(dt)
     normal, jump_count = drift_rng.normal, drift_rng.poisson
+    standard_normal = drift_rng.standard_normal
 
     t_arr = np.arange(1, n_frames + 1) * dt
     epochs = stab.duration_s * (np.arange(1, stab.n_scans + 1) / stab.n_scans)
@@ -493,7 +517,8 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
         # DriftProcess.step
         x = x * decay
         if noise_std is not None:
-            x += normal(0.0, noise_std)
+            # normal(0.0, noise_std) computes 0.0 + noise_std * z: the same bits
+            x += 0.0 + noise_std * standard_normal()
         if jump_mean is not None:
             n_jumps = jump_count(jump_mean)
             if n_jumps:
@@ -510,16 +535,21 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
             # The CR check heralds the resonance condition for the scans;
             # the bias update itself runs every frame the probe saw photons.
             if total > 0.0:
-                error = error_of(demod)
+                error = (demod - zero_offset) / sensitivity  # calibration.error
                 # pid_update
                 if not isfinite(error):
                     raise InputError(f"error_ghz must be finite, got {error}")
-                integral = float(min(max(integral + error * dt, neg_limit), limit))
+                # min(max(v, lo), hi) for lo <= hi as conditionals: max keeps
+                # v unless lo > v, min keeps that unless hi < it
+                integral += error * dt
+                integral = (neg_limit if neg_limit > integral
+                            else limit if limit < integral else integral)
                 derivative = (0.0 if last_error is None or kd == 0.0
                               else (last_error - error) / dt)
                 last_error = error
                 u = kp * error + ki * integral + kd * derivative
-                dc = float(min(max(dc + u, out_min), out_max))
+                dc += u
+                dc = out_min if out_min > dc else out_max if out_max < dc else dc
                 e_arr[i] = error
             v_arr[i] = dc
             cr_arr[i] = passed

@@ -106,37 +106,38 @@ class TuningCurve:
 
     def __init__(self, emitter: EmitterModel, device: DeviceModel):
         cal = device.calibration
-        self._scale_per_v2 = self._da1g = self._c_g = self._c_u = 0.0
+        k = da1g = c_g = c_u = 0.0
         if not emitter.is_bulk:
             g = bending_profile(device.geometry, emitter.position)
-            self._scale_per_v2 = float(cal.eps_ref * g / cal.v_ref ** 2)
+            k = float(cal.eps_ref * g / cal.v_ref ** 2)
             if g != 0.0:
                 s_ref = cal.eps_ref * g
                 ir_g, ir_u = _irreducible_at(emitter, device, cal.v_ref)
-                self._da1g = float((ir_u.eps_a1g - ir_g.eps_a1g) / s_ref)
-                self._c_g = float(4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2)
-                self._c_u = float(4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2)
-        # Python floats, so the formula below stays in math arithmetic
-        self._lam_g = float(emitter.spin_orbit.lambda_g)
-        self._lam_u = float(emitter.spin_orbit.lambda_u)
-        self._lam_g2 = self._lam_g ** 2
-        self._lam_u2 = self._lam_u ** 2
+                da1g = float((ir_u.eps_a1g - ir_g.eps_a1g) / s_ref)
+                c_g = float(4.0 * (ir_g.eps_egx ** 2 + ir_g.eps_egy ** 2) / s_ref ** 2)
+                c_u = float(4.0 * (ir_u.eps_egx ** 2 + ir_u.eps_egy ** 2) / s_ref ** 2)
+        # Python floats, so the formula stays in math arithmetic
+        lam_g = float(emitter.spin_orbit.lambda_g)
+        lam_u = float(emitter.spin_orbit.lambda_u)
+        #: The closed form's constants (k = s / V^2, da1g, cg, cu, lg, lu,
+        #: lg^2, lu^2): :meth:`shifts` and the lock-in probe both unpack
+        #: this one tuple.
+        self.constants = (k, da1g, c_g, c_u, lam_g, lam_u, lam_g ** 2, lam_u ** 2)
 
     def shift(self, v: float) -> float:
         """C-transition shift in GHz for voltage ``v``."""
-        return self.shifts(v, (0.0,))[0]
+        return self.shifts((float(v),))[0]
 
-    def shifts(self, v0, offsets) -> list[float]:
-        """``[shift(v0 + o) for o in offsets]`` as Python floats, for Python
-        float offsets.  The formula enters only through V^2, so the sign of
-        a zero in ``v0 + o`` does not matter."""
-        v0 = float(v0)
-        k, da1g, c_g, c_u = self._scale_per_v2, self._da1g, self._c_g, self._c_u
-        lam_g, lam_u, lam_g2, lam_u2 = self._lam_g, self._lam_u, self._lam_g2, self._lam_u2
+    def shifts(self, voltages) -> list[float]:
+        """``[shift(v) for v in voltages]`` as Python floats, for Python
+        float voltages.  The formula enters only through V^2, so the sign of
+        a zero voltage does not matter.  The lock-in probe evaluates the
+        same formula on the same ``constants`` one bias at a time; a test
+        holds the two to the same bits."""
+        k, da1g, c_g, c_u, lam_g, lam_u, lam_g2, lam_u2 = self.constants
         sqrt = math.sqrt
         out = []
-        for o in offsets:
-            v = v0 + o
+        for v in voltages:
             s = k * (v * v)  # local eps_xx
             s2 = s * s
             delta_g = sqrt(lam_g2 + c_g * s2)

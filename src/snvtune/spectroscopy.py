@@ -214,7 +214,7 @@ class _FitFailed(Exception):
     """The solver hit its evaluation cap or a non-finite cost."""
 
 
-def _least_squares(model, jac, x, y, w, p0, lo, hi):
+def _least_squares(model, jac, x, y, w, p0, lo, hi, start=None):
     """Bounded Levenberg-Marquardt minimum of ``sum((w * (model(x, *p) - y))**2)``.
 
     Marquardt's diagonal damping of the normal equations (Moré, LNM 630,
@@ -226,26 +226,28 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
     returns the least-squares optimum to rounding.  ``w=None`` means unit
     weights and gives the same bits as ``w=np.ones_like(y)``.  ``model``
     returns the values and the ``parts`` of ``jac(*parts, *p)``, so each
-    point is evaluated once.  Returns the parameters, ``JᵀWJ`` and the
-    model values there.  Raises :class:`_FitFailed` at the evaluation cap
-    or on a non-finite cost, and ``LinAlgError`` on a singular system.
+    point is evaluated once; ``start`` is the model's (values, parts) at
+    ``p0`` when the caller has them, for a ``p0`` inside the bounds.
+    Returns the parameters, ``JᵀWJ`` and the model's (values, parts) there.
+    Raises :class:`_FitFailed` at the evaluation cap or on a non-finite
+    cost, and ``LinAlgError`` on a singular system.
 
     An iteration on 4-5 parameters costs numpy call overhead, not
     arithmetic, so the loop makes few calls: parameters reach the model as
     Python floats, the active set is found on floats, and the all-free case
     skips the fancy-index copies.
     """
-    def evaluate(q):  # the model's (values, parts), the residual and the cost
-        fx = model(x, *q.tolist())
+    def score(fx):  # the residual and the cost of the model's (values, parts)
         r = fx[0] - y if w is None else w * (fx[0] - y)
         cost = float(r @ r)
         if not math.isfinite(cost):
             raise _FitFailed("non-finite cost")
-        return fx, r, cost
+        return r, cost
 
     p = np.clip(np.asarray(p0, dtype=float), lo, hi)
     bounds = list(zip(lo.tolist(), hi.tolist()))
-    fx, r, cost = evaluate(p)
+    fx = model(x, *p.tolist()) if start is None else start
+    r, cost = score(fx)
     lam, nu, normal = 1e-3, 2.0, None
     for _ in range(_LM_MAX_EVALS):
         if normal is None:
@@ -266,14 +268,15 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi):
         # decrease of the linearized cost ||r + J step||^2
         predicted = float(step @ (lam * scale * step - g_free))
         if predicted <= _LM_TOL * cost:
-            return p, normal, fx[0]
+            return p, normal, fx
         if all_free:
             trial = p + step
         else:
             trial = p.copy()
             trial[free] += step
         trial = np.minimum(np.maximum(trial, lo), hi)
-        fx_trial, r_trial, cost_trial = evaluate(trial)
+        fx_trial = model(x, *trial.tolist())
+        r_trial, cost_trial = score(fx_trial)
         gain = (cost - cost_trial) / predicted
         if gain > 0.0:
             p, fx, r, cost, normal = trial, fx_trial, r_trial, cost_trial, None
@@ -294,9 +297,10 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     data yields ``converged=False`` instead of raising; fewer than 8 points
     or no signal above the background estimate is an input error.  Both
     passes run :func:`_least_squares` inside the parameter bounds with the
-    models' closed-form Jacobians; pass one returns the model values that
-    set the weights, and ``center_stderr`` comes from the inverse of the
-    weighted normal matrix at the optimum.
+    models' closed-form Jacobians; pass one returns the model evaluation
+    at its optimum, which sets the weights and starts pass two, and
+    ``center_stderr`` comes from the inverse of the weighted normal matrix
+    at the optimum.
     """
     if shape not in ("lorentzian", "voigt"):
         raise InputError(f"unknown line shape {shape!r}")
@@ -331,8 +335,9 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
         # non-finite data surfaces as a non-finite cost, not as a warning
         with np.errstate(invalid="ignore", over="ignore"):
             popt, _, fitted = _least_squares(model, jac, x, y, None, p0, lo, hi)
-            w = 1.0 / np.sqrt(np.maximum(fitted, 1.0))
-            popt, normal, _ = _least_squares(model, jac, x, y, w, popt, lo, hi)
+            w = 1.0 / np.sqrt(np.maximum(fitted[0], 1.0))
+            popt, normal, _ = _least_squares(model, jac, x, y, w, popt, lo, hi,
+                                             fitted)
         pcov = np.linalg.inv(normal)  # absolute Poisson weights: no rescaling
     except (_FitFailed, np.linalg.LinAlgError):
         return FitResult(center=c0, fwhm=fwhm0 * MHZ_PER_GHZ, amplitude=amp0,

@@ -377,6 +377,20 @@ class TestStabilize:
         assert "error: " in err and "Poisson" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [(), ("--no-feedback",)], ids=["feedback", "free"])
+    def test_jump_rate_beyond_poisson_limit_exit_2(self, tmp_path, capsys, mode):
+        # 1e30 jumps/s over a 0.2 s frame: a mean jump count of 2e29
+        doc = json.loads(default_config_text())
+        doc["control"]["drift"]["jump_rate"]["value"] = 1e30
+        path = tmp_path / "jumpy.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", path, "stabilize",
+                       "--duration", "60", "--scans", "1", *mode) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Poisson" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_multi_seed_jobs(self, tmp_path):
         assert run_cli("--out", tmp_path, "--jobs", "2", "stabilize",
                        "--duration", "240", "--scans", "1",

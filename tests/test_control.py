@@ -249,6 +249,49 @@ class TestPhaseGroups:
         assert type(cr_rate) is float
         assert np.float64(cr_rate).tobytes() == np.float64(want).tobytes()
 
+    @given(name=hyp.sampled_from(["axial_hinge", "axial_mid", "transversal_hinge"]),
+           bins=hyp.integers(4, 24), periods=hyp.integers(1, 3),
+           amp=hyp.floats(0.01, 1.0), v_op=hyp.floats(10.0, 75.0),
+           drift=hyp.floats(-1.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_lines_match_tuning_curve_shifts_bit_for_bit(self, config, device,
+                                                         name, bins, periods,
+                                                         amp, v_op, drift):
+        # the probe evaluates TuningCurve's closed form itself, one bias at a
+        # time: each group's Poisson mean must be the one built from
+        # ``shifts``, to the last bit
+        emitter = config.emitter(name)
+        curve = TuningCurve(emitter, device)
+        lk = replace(config.control.lockin, bins_per_period=bins,
+                     periods_per_probe=periods, mod_amp_v=amp)
+        lockin = _LockIn(emitter, curve, lk)
+        means = []
+
+        def poisson(mean):  # draws 1, 2, 3, ... so the sums show the order
+            means.append(mean)
+            return len(means)
+
+        target = curve.shift(v_op)
+        total, demod, cr_rate = lockin.probe(v_op, drift, target, poisson)
+        offsets = [0.0] + [offset_v for offset_v, _, _ in lockin.groups]
+        dc_line, *lines = curve.shifts([v_op + o for o in offsets])
+        fwhm_ghz = effective_linewidth(emitter, dc_line) / 1000.0
+
+        def rate(line):
+            return count_rate(emitter.peak_rate, emitter.background_rate,
+                              target - (line + drift), fwhm_ghz)
+
+        want = [span_s * rate(line)
+                for (_, _, span_s), line in zip(lockin.groups, lines)]
+        assert all(type(mean) is float for mean in means)
+        assert [m.hex() for m in means] == [float(w).hex() for w in want]
+        assert cr_rate.hex() == float(rate(dc_line)).hex()
+        want_total = want_demod = 0.0
+        for k, (_, sin, _) in enumerate(lockin.groups, 1):
+            want_total += k
+            want_demod += sin * k
+        assert (total, demod) == (want_total, want_demod)
+
     def test_draws_match_per_bin_poisson_moments(self, lock_setup):
         cfg, emitter, device, curve, v_op, target, state, cal = lock_setup
         lk = cfg.control.lockin
@@ -672,6 +715,12 @@ class TestRunStabilization:
         "cr_retries": {"cr": {"max_attempts": 3, "photon_threshold": 900}},
         "jumps_only": {"drift": {"ou_sigma_ghz": 0.0, "jump_rate_hz": 0.5}},
         "drift_start": {"drift": {"state_ghz": 0.4}},
+        # odd bins per period: no two phases share a sine, so every group
+        # holds one bin per period
+        "unpaired_groups": {"lockin": {"bins_per_period": 5,
+                                       "periods_per_probe": 3}},
+        # a line that tunes up with the bias: da1g > 0, other c_g and c_u
+        "transversal": {"emitter": "transversal_hinge"},
         "dim": None,
     }
 
@@ -683,9 +732,9 @@ class TestRunStabilization:
             emitter, drift, lockin, pid, cr, stab, seed = self.dim_setup(config, axial)
         else:
             over = self.CORNERS[corner]
-            emitter, seed = axial, 3
+            emitter, seed = config.emitter(over.get("emitter", axial.name)), 3
             drift = replace(c.drift, **over.get("drift", {}))
-            lockin = c.lockin
+            lockin = replace(c.lockin, **over.get("lockin", {}))
             pid = replace(c.pid, **over.get("pid", {}))
             cr = replace(c.cr_check, **over.get("cr", {}))
             stab = replace(c.stabilization, duration_s=120.0, n_scans=3,

@@ -252,10 +252,12 @@ class TestFitJacobians:
         # the model once more per parameter for every Jacobian.  On this
         # scan scipy's finite-difference fits took 61 (Lorentzian) and 67
         # (pseudo-Voigt) model evaluations; the Levenberg-Marquardt fits
-        # with closed-form Jacobians take 15 and 17, and about 18 per fit
-        # on average over the benchmark's scan_fit round.  At least one call
-        # must be counted: a fit_line that bound the models at import time,
-        # out of the monkeypatch's reach, fails here.
+        # with closed-form Jacobians take 14 and 16, and 17.7 per fit on
+        # average over the benchmark's scan_fit round.  The budgets are
+        # those counts: a second pass that evaluated its start point again
+        # would take one more.  At least one call must be counted: a
+        # fit_line that bound the models at import time, out of the
+        # monkeypatch's reach, fails here.
         calls = []
         for name in ("_lorentz_model", "_pseudo_voigt_model"):
             model = getattr(spectroscopy, name)
@@ -264,10 +266,10 @@ class TestFitJacobians:
         center = float(st.TuningCurve(axial, device).shift(40.0)) + 0.6
         det = center + np.linspace(-2.0, 2.0, 161)
         scan = st.simulate_ple(axial, device, 40.0, det, 0.005, seed=404)
-        for shape in ("lorentzian", "voigt"):
+        for shape, budget in (("lorentzian", 14), ("voigt", 16)):
             calls.clear()
             assert st.fit_line(scan, shape).converged
-            assert 0 < len(calls) <= 30, shape
+            assert 0 < len(calls) <= budget, shape
 
 
 class TestFitGolden:
@@ -282,10 +284,10 @@ class TestFitGolden:
         solve = spectroscopy._least_squares
         optima = []
 
-        def recording(model, jac, x, y, w, p0, lo, hi):
-            p, normal, values = solve(model, jac, x, y, w, p0, lo, hi)
+        def recording(model, jac, x, y, w, p0, lo, hi, *start):
+            p, normal, fx = solve(model, jac, x, y, w, p0, lo, hi, *start)
             optima.append((model.__name__, p, lo, hi))
-            return p, normal, values
+            return p, normal, fx
 
         monkeypatch.setattr(spectroscopy, "_least_squares", recording)
         digest = hashlib.sha256()
@@ -311,10 +313,10 @@ class TestFitGolden:
         solve = spectroscopy._least_squares
         unweighted = []
 
-        def recording(model, jac, x, y, w, p0, lo, hi):
+        def recording(model, jac, x, y, w, p0, lo, hi, *start):
             if w is None:
                 unweighted.append((model, jac, x, y, p0, lo, hi))
-            return solve(model, jac, x, y, w, p0, lo, hi)
+            return solve(model, jac, x, y, w, p0, lo, hi, *start)
 
         monkeypatch.setattr(spectroscopy, "_least_squares", recording)
         scan = next(TestFitJacobians._oracle_scans(config))
@@ -332,9 +334,9 @@ class TestFitGolden:
 
 
 class TestSolverKeepsItsEvaluation:
-    """``_least_squares`` returns the model values at the parameters it
-    returns: the evaluation kept with the accepted point, never that of a
-    trial the solver rejected after it."""
+    """``_least_squares`` returns the model's values and parts at the
+    parameters it returns: the evaluation kept with the accepted point,
+    never that of a trial the solver rejected after it."""
 
     GRID = np.linspace(-1.0, 1.0, 41)
 
@@ -353,7 +355,7 @@ class TestSolverKeepsItsEvaluation:
             patch.setattr(spectroscopy, "_least_squares", recording)
             st.fit_line(scan, shape)
         solves = []
-        for model, jac, x, y, w, p0, lo, hi in calls:
+        for model, jac, x, y, w, p0, lo, hi, *start in calls:
             evaluated = []
 
             def counted(x, *p, _model=model):
@@ -361,12 +363,15 @@ class TestSolverKeepsItsEvaluation:
                 return _model(x, *p)
 
             try:
-                p, _, values = solve(counted, jac, x, y, w, p0, lo, hi)
+                p, _, fx = solve(counted, jac, x, y, w, p0, lo, hi, *start)
             except spectroscopy._FitFailed:
                 continue
-            fresh, _ = model(x, *p.tolist())
-            assert values.tobytes() == fresh.tobytes()
-            solves.append((w is not None, evaluated[-1] != tuple(p.tolist())))
+            fresh = model(x, *p.tolist())
+            assert ([a.tobytes() for a in (fx[0], *fx[1])]
+                    == [a.tobytes() for a in (fresh[0], *fresh[1])])
+            # a solve given its start evaluates nothing unless it tries a step
+            solves.append((w is not None,
+                           bool(evaluated) and evaluated[-1] != tuple(p.tolist())))
         return solves
 
     @settings(deadline=None, max_examples=40)

@@ -211,8 +211,8 @@ class TestVoltageChain:
 
     def test_golden_shift_digest(self, config, device):
         # Pinned before TuningCurve's formula moved into ``shifts``: every
-        # emitter, through ``shift`` one voltage at a time and through
-        # ``shifts`` at offsets from 0 V, over a grid with -0.0, v_max, a
+        # emitter, through ``shift`` one voltage at a time and through one
+        # ``shifts`` call, over a grid with -0.0, v_max, a
         # voltage past it and a NaN.  A NaN result is hashed as one fixed
         # pattern, so only the values, not the NaN payload, are pinned.
         v_max = device.calibration.v_max
@@ -222,9 +222,9 @@ class TestVoltageChain:
         for name in sorted(config.emitters):
             curve = st.TuningCurve(config.emitter(name), device)
             scalar = np.array([curve.shift(v) for v in grid])
-            offsets = np.array(curve.shifts(0.0, grid))
-            assert np.isnan(scalar[-1]) and np.isnan(offsets[-1])
-            for out in (scalar, offsets):
+            listed = np.array(curve.shifts(grid))
+            assert np.isnan(scalar[-1]) and np.isnan(listed[-1])
+            for out in (scalar, listed):
                 out = np.where(np.isnan(out), math.nan, out)
                 digest.update(name.encode() + out.tobytes())
         assert digest.hexdigest() == (
