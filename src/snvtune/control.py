@@ -108,7 +108,12 @@ class LockInConfig:
 
 @dataclass(frozen=True)
 class PIDConfig:
-    """Discrete PID gains (volts per GHz) and output limits (volts)."""
+    """Discrete PID gains (volts per GHz) and output limits (volts).
+
+    The gains are those of a line that moves down as the bias rises, as
+    the axial emitters' does; :func:`run_stabilization` negates all three
+    where the line moves up (d shift / dV > 0 at the operating voltage).
+    """
 
     kp: float = 1.35
     ki: float = 0.0
@@ -435,7 +440,11 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
     rate too.  The drift, CR, calibration and PID steps run on locals; the
     OU noise is drawn as ``0.0 + std * standard_normal()``, the expression
     ``normal(0.0, std)`` evaluates, and the PID clamps are conditional
-    expressions that pick what ``min`` and ``max`` pick.  A drift jump rate whose mean jump count
+    expressions that pick what ``min`` and ``max`` pick.  The PID gains
+    take the sign of -d shift / dV at the operating voltage
+    (:meth:`TuningCurve.slope`), so the loop pulls a line that tunes up
+    with the bias back as it does one that tunes down; the logged error
+    keeps its sign.  A drift jump rate whose mean jump count
     per frame is above the Poisson sampler's limit is a ``ConfigError``.
     """
     curve = TuningCurve(emitter, device)
@@ -491,6 +500,10 @@ def run_stabilization(emitter: EmitterModel, device: DeviceModel,
         cr_poisson, cr_s = cr_rng.poisson, cr_cfg.probe_duration_s
         threshold, attempts = cr_cfg.photon_threshold, range(cr_cfg.max_attempts)
         kp, ki, kd = pid_cfg.kp, pid_cfg.ki, pid_cfg.kd
+        if curve.slope(stab.operating_voltage) > 0.0:
+            # the error is the line's offset, and u volts move the line by
+            # u * dshift/dV: only gains of the sign of -dshift/dV pull it back
+            kp, ki, kd = -kp, -ki, -kd
         limit, out_min, out_max = (float(pid_cfg.integral_limit), float(pid_cfg.output_min),
                                    float(pid_cfg.output_max))
         neg_limit, isfinite = -limit, math.isfinite

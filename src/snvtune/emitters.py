@@ -128,6 +128,19 @@ class TuningCurve:
         """C-transition shift in GHz for voltage ``v``."""
         return self.shifts((float(v),))[0]
 
+    def slope(self, v: float) -> float:
+        """d shift / dV in GHz per volt at voltage ``v``: the closed form's
+        derivative, 2kV times d shift / ds.  A square root that vanishes
+        (zero spin-orbit splitting at zero strain) adds nothing there."""
+        k, da1g, c_g, c_u, _, _, lam_g2, lam_u2 = self.constants
+        s = k * (v * v)
+        ds = da1g
+        for c, lam2, half in ((c_u, lam_u2, -0.5), (c_g, lam_g2, 0.5)):
+            root = math.sqrt(lam2 + c * s * s)
+            if root:
+                ds += half * c * s / root
+        return 2.0 * k * v * ds
+
     def shifts(self, voltages) -> list[float]:
         """``[shift(v) for v in voltages]`` as Python floats, for Python
         float voltages.  The formula enters only through V^2, so the sign of

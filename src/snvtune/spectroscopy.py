@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .actuator import DeviceModel
 from .emitters import EmitterModel, TuningCurve
@@ -52,7 +53,8 @@ class ScanRecord:
 
     ``counts`` holds sampled integers, or the exact expected counts when the
     scan was produced in noise-free mode; ``expected`` always carries the
-    noise-free expectation for reference.
+    noise-free expectation for reference.  Counts are non-negative and
+    never NaN; an infinite count loads, and its fit fails unconverged.
     """
 
     detunings: np.ndarray
@@ -73,8 +75,8 @@ class ScanRecord:
             raise InputError("detunings and counts must be 1-D and equal length")
         if d.size >= 2 and not np.all(np.diff(d) > 0.0):
             raise InputError("detunings must be strictly increasing")
-        if np.any(np.asarray(c, dtype=float) < 0.0):
-            raise InputError("counts must be non-negative")
+        if not np.all(np.asarray(c, dtype=float) >= 0.0):
+            raise InputError("counts must be non-negative numbers, not NaN")
         if not self.dwell_s > 0.0:
             raise InputError("dwell_s must be > 0")
 
@@ -208,10 +210,27 @@ def _pseudo_voigt_jac(u, lor, gau, mix, amp, center, fwhm, eta, bg):
 
 _LM_MAX_EVALS = 200  # trial steps per pass before the solver gives up
 _LM_TOL = 1e-15      # stop once a step would lower the cost by less than this fraction
+# the LAPACK gesv gufunc np.linalg.solve calls for a 1-D right-hand side
+_solve1 = _umath_linalg.solve1
 
 
 class _FitFailed(Exception):
-    """The solver hit its evaluation cap or a non-finite cost."""
+    """The solver hit its evaluation cap, a non-finite cost or a singular system."""
+
+
+def _trial_point(p, step, free, bounds):
+    """``p`` plus ``step`` on its ``free`` parameters, clipped into the
+    ``bounds`` (lo, hi) pairs, as Python floats: what
+    ``np.minimum(np.maximum(trial, lo), hi)`` gives for a NaN-free step.
+    Those ufuncs return their second argument on a tie, 0.0 against -0.0
+    included, hence the strict comparisons."""
+    moves = iter(step)
+    trial = []
+    for pi, f, (lo, hi) in zip(p, free, bounds):
+        t = pi + next(moves) if f else pi
+        t = t if t > lo else lo
+        trial.append(t if t < hi else hi)
+    return trial
 
 
 def _least_squares(model, jac, x, y, w, p0, lo, hi, start=None):
@@ -229,13 +248,21 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi, start=None):
     point is evaluated once; ``start`` is the model's (values, parts) at
     ``p0`` when the caller has them, for a ``p0`` inside the bounds.
     Returns the parameters, ``JᵀWJ`` and the model's (values, parts) there.
-    Raises :class:`_FitFailed` at the evaluation cap or on a non-finite
-    cost, and ``LinAlgError`` on a singular system.
+    Raises :class:`_FitFailed` at the evaluation cap, on a non-finite cost
+    and on a singular system.
 
     An iteration on 4-5 parameters costs numpy call overhead, not
-    arithmetic, so the loop makes few calls: parameters reach the model as
-    Python floats, the active set is found on floats, and the all-free case
-    skips the fancy-index copies.
+    arithmetic, so the loop makes few calls.  Each damped system goes to
+    ``solve1``, the LAPACK ``gesv`` gufunc that ``np.linalg.solve`` calls
+    for a 1-D right-hand side: the same bits, without the wrapper's checks
+    and errstate, which cost several times the solve itself.  Where the
+    wrapper raised ``LinAlgError``, a singular system gives a NaN step; the
+    loop runs with numpy's invalid-value flag ignored, so neither that step
+    nor a NaN inside ``model`` warns, and the step's NaN predicted decrease
+    raises :class:`_FitFailed`.  The point, its trial step, the clip into
+    the box and the active set are Python floats, the form the model takes;
+    the parameter array is built on return, and the all-free case skips the
+    fancy-index copies.
     """
     def score(fx):  # the residual and the cost of the model's (values, parts)
         r = fx[0] - y if w is None else w * (fx[0] - y)
@@ -244,48 +271,57 @@ def _least_squares(model, jac, x, y, w, p0, lo, hi, start=None):
             raise _FitFailed("non-finite cost")
         return r, cost
 
-    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    p = np.minimum(np.maximum(np.asarray(p0, dtype=float), lo), hi).tolist()
     bounds = list(zip(lo.tolist(), hi.tolist()))
-    fx = model(x, *p.tolist()) if start is None else start
+    fx = model(x, *p) if start is None else start
     r, cost = score(fx)
     lam, nu, normal = 1e-3, 2.0, None
-    for _ in range(_LM_MAX_EVALS):
-        if normal is None:
-            j = jac(*fx[1], *p.tolist())
-            if w is not None:
-                j = w[:, None] * j
-            normal = j.T @ j
-            grad = j.T @ r
-            free = [not ((pi <= l and g > 0.0) or (pi >= h and g < 0.0))
-                    for pi, g, (l, h) in zip(p.tolist(), grad.tolist(), bounds)]
-            all_free = all(free)
-            a_free, g_free = ((normal, grad) if all_free
-                              else (normal[free][:, free], grad[free]))
-            neg_g = -g_free
-            scale = a_free.diagonal()
-            damping = np.diag(scale)
-        step = np.linalg.solve(a_free + lam * damping, neg_g)
-        # decrease of the linearized cost ||r + J step||^2
-        predicted = float(step @ (lam * scale * step - g_free))
-        if predicted <= _LM_TOL * cost:
-            return p, normal, fx
-        if all_free:
-            trial = p + step
-        else:
-            trial = p.copy()
-            trial[free] += step
-        trial = np.minimum(np.maximum(trial, lo), hi)
-        fx_trial = model(x, *trial.tolist())
-        r_trial, cost_trial = score(fx_trial)
-        gain = (cost - cost_trial) / predicted
-        if gain > 0.0:
-            p, fx, r, cost, normal = trial, fx_trial, r_trial, cost_trial, None
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            lam *= nu
-            nu *= 2.0
+    with np.errstate(invalid="ignore"):
+        for _ in range(_LM_MAX_EVALS):
+            if normal is None:
+                j = jac(*fx[1], *p)
+                if w is not None:
+                    j = w[:, None] * j
+                normal = j.T @ j
+                grad = j.T @ r
+                free = [not ((pi <= l and g > 0.0) or (pi >= h and g < 0.0))
+                        for pi, g, (l, h) in zip(p, grad.tolist(), bounds)]
+                all_free = all(free)
+                a_free, g_free = ((normal, grad) if all_free
+                                  else (normal[free][:, free], grad[free]))
+                neg_g = -g_free
+                scale = a_free.diagonal()
+                damping = np.diag(scale)
+            step = _solve1(a_free + lam * damping, neg_g)
+            # decrease of the linearized cost ||r + J step||^2
+            predicted = float(step @ (lam * scale * step - g_free))
+            if predicted <= _LM_TOL * cost:
+                return np.array(p), normal, fx
+            if predicted != predicted:
+                raise _FitFailed("singular system")
+            trial = _trial_point(p, step.tolist(), free, bounds)
+            fx_trial = model(x, *trial)
+            r_trial, cost_trial = score(fx_trial)
+            gain = (cost - cost_trial) / predicted
+            if gain > 0.0:
+                p, fx, r, cost, normal = trial, fx_trial, r_trial, cost_trial, None
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+            else:
+                lam *= nu
+                nu *= 2.0
     raise _FitFailed("evaluation cap")
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array holding no NaN, from a partition:
+    numpy's mean of the middle one or two values, a sum started at 0.0
+    (which turns a -0.0 into 0.0) divided by their count."""
+    half = values.size // 2
+    if values.size % 2:
+        return 0.0 + float(np.partition(values, half)[half])
+    below, above = np.partition(values, (half - 1, half))[half - 1:half + 1].tolist()
+    return (0.0 + below + above) / 2.0
 
 
 def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
@@ -300,7 +336,8 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     models' closed-form Jacobians; pass one returns the model evaluation
     at its optimum, which sets the weights and starts pass two, and
     ``center_stderr`` comes from the inverse of the weighted normal matrix
-    at the optimum.
+    at the optimum.  The background and grid-step estimates are
+    :func:`_median`'s, ``np.median``'s value from one partition.
     """
     if shape not in ("lorentzian", "voigt"):
         raise InputError(f"unknown line shape {shape!r}")
@@ -308,7 +345,7 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     y = np.asarray(scan.counts, dtype=float)
     if x.size < 8:
         raise InputError("need at least 8 scan points to fit a line")
-    bg0 = float(np.median(y))
+    bg0 = _median(y)  # a ScanRecord holds no NaN count
     if not np.any(y > bg0 + 3.0 * np.sqrt(max(bg0, 1.0))):
         raise InputError("no counts above the background estimate")
 
@@ -316,7 +353,7 @@ def fit_line(scan: ScanRecord, shape: str = "lorentzian") -> FitResult:
     amp0 = max(y[i_max] - bg0, 1.0)
     c0 = float(x[i_max])
     above = y > bg0 + 0.5 * amp0
-    step = float(np.median(np.diff(x)))
+    step = _median(np.diff(x))
     fwhm0 = max(float(np.count_nonzero(above)) * step, step)
     span = float(x[-1] - x[0])
 
@@ -370,18 +407,24 @@ def best_window_fraction(values, window_ghz: float) -> tuple[float, float]:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InputError("empty sample")
+    return _best_window(v, window_ghz)
+
+
+def _best_window(v: np.ndarray, window_ghz: float) -> tuple[float, float]:
+    """:func:`best_window_fraction` of a non-empty sample already sorted."""
     if not 0.0 < window_ghz < math.inf:
         raise InputError("window width must be finite and > 0")
-    hi = np.searchsorted(v, v + window_ghz, side="right")
-    counts = hi - np.arange(v.size)
+    counts = np.searchsorted(v, v + window_ghz, side="right")
+    counts -= np.arange(v.size)
     best = int(np.argmax(counts))
     return float(counts[best]) / v.size, float(v[best])
 
 
 def cdf_and_window(resonances, window_ghz: float) -> CdfResult:
-    """Empirical CDF of resonance frequencies plus their best-window fraction."""
+    """Empirical CDF of resonance frequencies plus their best-window fraction,
+    from one sort."""
     values, cdf = empirical_cdf(resonances)
-    fraction, start = best_window_fraction(values, window_ghz)
+    fraction, start = _best_window(values, window_ghz)
     return CdfResult(values=values, cdf=cdf, best_fraction=fraction,
                      best_window_start=start)
 
@@ -394,14 +437,18 @@ def sample_inhomogeneous(n: int, cluster_sigma_ghz: float,
 
     With probability ``cluster_weight`` a resonance comes from a normal
     cluster of the given sigma, otherwise from a uniform span; both centered
-    on ``center_ghz``.
+    on ``center_ghz``.  The membership, cluster and uniform draws are made
+    in that order, n of each, and the mixture is formed in the uniform
+    draws' array.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     in_cluster = rng.random(n) < cluster_weight
     cluster = rng.normal(center_ghz, cluster_sigma_ghz, n)
-    broad = center_ghz + rng.uniform(-0.5 * broad_span_ghz, 0.5 * broad_span_ghz, n)
-    return np.where(in_cluster, cluster, broad)
+    out = rng.uniform(-0.5 * broad_span_ghz, 0.5 * broad_span_ghz, n)
+    out += center_ghz
+    np.copyto(out, cluster, where=in_cluster)
+    return out
 
 
 # ---------------------------------------------------------------------------

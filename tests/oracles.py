@@ -214,9 +214,13 @@ def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,
     ``EmitterState``, then ``pid_update``; each scan through ``sample_scan``
     and ``fit_line``, with a fit that finds no line recorded unconverged.
     Takes a valid setup (no input checks) and returns the ``FeedbackLog``
-    arrays by field name.
+    arrays by field name.  Where a central difference of the tuning curve
+    rises at the operating voltage, the PID runs with negated gains.
     """
     curve = TuningCurve(emitter, device)
+    v0, h = stab.operating_voltage, 1e-3
+    if curve.shift(v0 + h) > curve.shift(v0 - h):
+        pid_cfg = replace(pid_cfg, kp=-pid_cfg.kp, ki=-pid_cfg.ki, kd=-pid_cfg.kd)
     dt = 1.0 / pid_cfg.update_rate_hz
     n_frames = int(round(stab.duration_s * pid_cfg.update_rate_hz))
     target = float(curve.shift(stab.operating_voltage))

@@ -704,6 +704,29 @@ class TestRunStabilization:
         assert np.isfinite(log.scan_true_center_ghz).all()
         assert summarize_log(log)["n_converged"] == 0
 
+    @pytest.mark.parametrize("name", ["axial_hinge", "transversal_hinge"])
+    def test_locks_whichever_way_the_line_tunes(self, config, device, name):
+        # The axial line moves down as the bias rises, the transversal one
+        # up; with gains of one sign for both, the loop pushed the
+        # transversal line from +50 MHz to +211 MHz in this minute and its
+        # CR check passed 17% of the frames.  Drift noise and jumps are off,
+        # so the drift decays deterministically from its start offset.
+        c = config.control
+        emitter = config.emitter(name)
+        drift = replace(c.drift, ou_sigma_ghz=0.0, jump_rate_hz=0.0, state_ghz=0.05)
+        stab = replace(c.stabilization, duration_s=60.0, n_scans=1,
+                       operating_voltage=40.0)
+        log = st.run_stabilization(emitter, device, drift, c.lockin, c.pid,
+                                   c.cr_check, stab, seed=7)
+        dt = 1.0 / c.pid.update_rate_hz
+        for _ in log.update_time_s:
+            drift.step(dt, np.random.default_rng(0))  # draws nothing
+        curve = TuningCurve(emitter, device)
+        detuning = (curve.shift(float(log.dc_voltage_v[-1])) + drift.state_ghz
+                    - curve.shift(40.0))
+        assert abs(detuning) <= 0.010
+        assert log.cr_pass[-50:].all()
+
     CORNERS = {
         "feedback": {},
         "free_running": {"stab": {"feedback": False}},

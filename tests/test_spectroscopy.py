@@ -2,16 +2,19 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
+from hypothesis.extra import numpy as hnp
 
 import snvtune as st
 from snvtune import spectroscopy
@@ -439,16 +442,88 @@ class TestFitFailure:
         self.assert_fallback(scan, st.fit_line(scan, "lorentzian"))
         assert len(calls) == 2
 
+    @staticmethod
+    def width_blind(*args, _jac=spectroscopy._lorentz_jac):
+        # a zero width column: every damped normal matrix is singular
+        j = _jac(*args)
+        j[:, 2] = 0.0
+        return j
+
     def test_singular_normal_matrix(self, scan, monkeypatch):
-        jac = spectroscopy._lorentz_jac
-
-        def width_blind(*args):
-            j = jac(*args)
-            j[:, 2] = 0.0
-            return j
-
-        monkeypatch.setattr(spectroscopy, "_lorentz_jac", width_blind)
+        monkeypatch.setattr(spectroscopy, "_lorentz_jac", self.width_blind)
         self.assert_fallback(scan, st.fit_line(scan, "lorentzian"))
+
+    @pytest.mark.parametrize("caller_errstate", [None, "raise", "warn"])
+    def test_singular_system_fails_the_solve_without_a_warning(self, scan,
+                                                               caller_errstate):
+        # numpy's solve raised LinAlgError here; the gufunc gives a NaN step
+        # and sets the invalid-value flag, which must neither warn (every
+        # warning is an error in this suite) nor raise FloatingPointError
+        x, y = scan.detunings, scan.counts.astype(float)
+        p0 = [float(y.max() - np.median(y)), float(x[np.argmax(y)]), 0.2,
+              float(np.median(y))]
+        lo = np.array([0.0, x[0], 0.001, 0.0])
+        hi = np.array([np.inf, x[-1], 8.0, np.inf])
+        errstate = (np.errstate() if caller_errstate is None
+                    else np.errstate(invalid=caller_errstate))
+        with warnings.catch_warnings(), errstate:
+            warnings.simplefilter("error")
+            with pytest.raises(spectroscopy._FitFailed, match="singular"):
+                spectroscopy._least_squares(spectroscopy._lorentz_model,
+                                            self.width_blind, x, y, None, p0, lo, hi)
+
+
+class TestSolverMatchesNumpy:
+    """The solver's float-side shortcuts give numpy's bits."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=hyp.integers(0, 2**32 - 1), n_params=hyp.sampled_from([4, 5]),
+           exponents=hyp.lists(hyp.integers(-3, 5), min_size=5, max_size=5),
+           lam=hyp.floats(1e-9, 1e6))
+    def test_damped_step_equals_np_linalg_solve(self, seed, n_params, exponents, lam):
+        # damped normal equations as the solver forms them, from a Jacobian
+        # whose columns differ in scale by up to eight decades, as a line
+        # fit's do; a numpy whose solve stops calling this gufunc, or calls
+        # it differently, fails here
+        rng = np.random.default_rng(seed)
+        j = rng.standard_normal((41, n_params)) * 10.0 ** np.array(exponents[:n_params])
+        normal, grad = j.T @ j, j.T @ rng.standard_normal(41)
+        system = normal + lam * np.diag(normal.diagonal())
+        want = np.linalg.solve(system, -grad)
+        assert spectroscopy._solve1(system, -grad).tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=hyp.data(), n_params=hyp.sampled_from([4, 5]))
+    def test_trial_point_equals_numpy_clip(self, data, n_params):
+        # signed zeros and infinite bounds included: numpy's maximum and
+        # minimum return their second argument on a tie
+        finite = hyp.one_of(hyp.just(0.0), hyp.just(-0.0),
+                            hyp.floats(-1e3, 1e3), hyp.floats(allow_nan=False,
+                                                              allow_infinity=False))
+        bound = hyp.one_of(finite, hyp.just(math.inf), hyp.just(-math.inf))
+        p = data.draw(hyp.lists(finite, min_size=n_params, max_size=n_params))
+        free = data.draw(hyp.lists(hyp.booleans(), min_size=n_params,
+                                   max_size=n_params))
+        step = data.draw(hyp.lists(finite, min_size=sum(free), max_size=sum(free)))
+        lo = np.array(data.draw(hyp.lists(bound, min_size=n_params, max_size=n_params)))
+        hi = np.array(data.draw(hyp.lists(bound, min_size=n_params, max_size=n_params)))
+        trial = np.array(p)
+        with np.errstate(over="ignore"):
+            trial[free] += step
+            got = spectroscopy._trial_point(p, step, free, list(zip(lo.tolist(),
+                                                                      hi.tolist())))
+        want = np.minimum(np.maximum(trial, lo), hi)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @example(values=np.array([-0.0]))  # numpy's mean of -0.0 is 0.0
+    @example(values=np.array([1.0, -0.0, -0.0, 2.0]))
+    @given(values=hnp.arrays(np.float64, hyp.integers(1, 40),
+                             elements=hyp.floats(allow_nan=False)))
+    def test_median_equals_np_median(self, values):
+        got = np.float64(spectroscopy._median(values))
+        want = np.median(values)
+        assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want))
 
 
 class TestImportCost:
@@ -746,3 +821,9 @@ class TestScanRecordInvariants:
         with pytest.raises(st.InputError):
             st.ScanRecord(detunings=np.array([0.0, 1.0, 2.0]),
                           counts=np.array([1, -2, 3]), dwell_s=1.0, bias_v=0.0)
+
+    def test_rejects_nan_counts(self):
+        # fit_line's median assumes a record without NaN counts
+        with pytest.raises(st.InputError, match="NaN"):
+            st.ScanRecord(detunings=np.array([0.0, 1.0, 2.0]),
+                          counts=np.array([1.0, np.nan, 3.0]), dwell_s=1.0, bias_v=0.0)
