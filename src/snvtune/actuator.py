@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InputError, RangeError
 from .strain import Frame, StrainTensor
 
@@ -150,47 +152,74 @@ def strain_at(device: DeviceModel, position: Position, v: float) -> StrainTensor
     )
 
 
-def _peak_heat(thermal: ThermalModel, pulse_us: float, cooldown_us: float) -> float:
-    """Heat at the end of a pulse in the periodic steady state, in us.
+def _expm1_each(x: np.ndarray) -> np.ndarray:
+    """``math.expm1`` of every element of ``x``, +inf where it overflows.
+
+    numpy's ``expm1`` may round differently from the C library's, so each
+    value goes through ``math`` once.
+    """
+    out = []
+    for value in x.ravel().tolist():
+        try:
+            out.append(math.expm1(value))
+        except OverflowError:  # a pulse that reaches the DC limit
+            out.append(math.inf)
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+def _peak_heat(thermal: ThermalModel, pulse_us: np.ndarray,
+               cooldown_us: np.ndarray) -> np.ndarray:
+    """Heat at the end of a pulse in the periodic steady state, in us,
+    broadcast over the pulse and cooldown arrays.
 
     A first-order system with time constant tau, heated during each pulse
     and cooling in between, peaks at
     tau (1 - e^(-p/tau)) / (1 - e^(-(p+c)/tau)).  Written as
     tau / (1 + (1 - e^(-c/tau)) / (e^(p/tau) - 1)), each factor moves with one
     argument, so the peak rises with the pulse, falls with the cooldown and
-    is tau, the DC limit, at zero cooldown.
+    is tau, the DC limit, at zero cooldown (or a pulse whose factor
+    overflows); a pulse too short to heat at all gives 0.
     """
     tau = thermal.relax_time_us
-    cooled = -math.expm1(-cooldown_us / tau)
-    if cooled == 0.0:  # no cooldown, or one too short to cool at all
-        return tau
-    try:
-        heated = math.expm1(pulse_us / tau)
-    except OverflowError:  # a pulse that reaches the DC limit
-        return tau
-    return tau / (1.0 + cooled / heated) if heated > 0.0 else 0.0
+    cooled = -_expm1_each(-cooldown_us / tau)
+    heated = _expm1_each(pulse_us / tau)
+    # a pulse too short to heat divides by 0: 0/0 where the cooldown is 0 too
+    return np.where(cooled == 0.0, tau, tau / (1.0 + cooled / heated))
 
 
-def pulsed_resonance_offset(thermal: ThermalModel, pulse_us: float,
-                            cooldown_us: float, v: float,
-                            v_ref: float = 75.0) -> float:
+def pulsed_resonance_offset(thermal: ThermalModel, pulse_us, cooldown_us,
+                            v: float, v_ref: float = 75.0):
     """Steady-state thermal red shift of the resonance in GHz (<= 0).
 
     Zero at or below the calibrated safe operating point
     (pulse <= max_pulse and cooldown >= cooldown_time); beyond it the offset
     grows with the peak heat in excess of the safe point's.  Leakage heating
     scales with the square of the applied voltage.
+
+    ``pulse_us`` and ``cooldown_us`` broadcast against each other (a
+    ``(P, 1)`` column against ``(C,)`` cooldowns gives the ``(P, C)`` grid),
+    and each exponential is taken once per element of its input.  Every
+    entry is checked before any is computed.  Scalar inputs give a float.
     """
-    if not (0.0 < pulse_us < math.inf and 0.0 <= cooldown_us < math.inf):
+    pulse = np.asarray(pulse_us, dtype=float)
+    cooldown = np.asarray(cooldown_us, dtype=float)
+    if not (np.all((0.0 < pulse) & (pulse < math.inf))
+            and np.all((0.0 <= cooldown) & (cooldown < math.inf))):
         raise InputError("pulse duration must be finite and > 0, cooldown finite and >= 0")
     if not 0.0 <= v < math.inf:
         raise InputError("voltage must be finite and >= 0")
-    try:
-        heat = _peak_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
-    except OverflowError:  # a float power raises where a product gives inf
-        heat = math.inf
-    safe = _peak_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
-    offset = -thermal.heat_shift_coeff * max(0.0, heat - safe) + 0.0
-    if not math.isfinite(offset):
+    # the Python float arithmetic this mirrors overflows, divides by zero
+    # and makes NaN without a warning
+    with np.errstate(all="ignore"):
+        peak = _peak_heat(thermal, pulse, cooldown)
+        safe = float(_peak_heat(thermal, np.float64(thermal.max_pulse_us),
+                                np.float64(thermal.cooldown_time_us)))
+        try:
+            heat = peak * (v / v_ref) ** 2
+        except OverflowError:  # a float power raises where a product gives inf
+            heat = np.full_like(peak, math.inf)
+        excess = heat - safe
+        offset = -thermal.heat_shift_coeff * np.where(excess > 0.0, excess, 0.0) + 0.0
+    if not np.isfinite(offset).all():
         raise RangeError(f"bias {v:g} V heats the device beyond the float range")
-    return offset
+    return offset if offset.ndim else float(offset)

@@ -218,6 +218,7 @@ def cmd_inhomo(cfg: RunConfig, ns, seed: int) -> int:
             rng, center_ghz=cfg.physics.nu0)
         origin = f"generated, n={n}"
     result = cdf_and_window(values, ns.window)
+    del values  # the sorted copy is what gets written
 
     cdf_path = ns.out / "inhomo_cdf.csv"
     _write_csv(cdf_path, _provenance(cfg, "inhomo", seed) + [f"source={origin}"],
@@ -318,10 +319,9 @@ def cmd_calibrate_pulse(cfg: RunConfig, ns, seed: int) -> int:
     if not 0.0 <= bias <= cfg.device.calibration.v_max:
         raise RangeError(
             f"bias {bias} V outside [0, {cfg.device.calibration.v_max}] V")
-    thermal = cfg.device.thermal
-    offsets = np.array([pulsed_resonance_offset(thermal, p, c, bias,
-                                                v_ref=cfg.device.calibration.v_ref)
-                        for p in pulses for c in cooldowns])
+    offsets = pulsed_resonance_offset(cfg.device.thermal, np.array(pulses)[:, None],
+                                      np.array(cooldowns), bias,
+                                      v_ref=cfg.device.calibration.v_ref).ravel()
     path = ns.out / "pulse_calibration.csv"
     _write_csv(path, _provenance(cfg, "calibrate-pulse", seed),
                {"pulse_us": np.repeat(pulses, len(cooldowns)),

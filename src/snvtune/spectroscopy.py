@@ -395,7 +395,9 @@ def empirical_cdf(values) -> tuple[np.ndarray, np.ndarray]:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InputError("empty sample")
-    return v, np.arange(1, v.size + 1, dtype=float) / v.size
+    cdf = np.arange(1, v.size + 1, dtype=float)
+    cdf /= v.size
+    return v, cdf
 
 
 def best_window_fraction(values, window_ghz: float) -> tuple[float, float]:
@@ -410,14 +412,27 @@ def best_window_fraction(values, window_ghz: float) -> tuple[float, float]:
     return _best_window(v, window_ghz)
 
 
+# window starts counted per searchsorted pass: bounds the temporaries
+_WINDOW_BLOCK = 8192
+
+
 def _best_window(v: np.ndarray, window_ghz: float) -> tuple[float, float]:
-    """:func:`best_window_fraction` of a non-empty sample already sorted."""
+    """:func:`best_window_fraction` of a non-empty sample already sorted.
+
+    The starts are counted one block at a time; the first largest count
+    wins, as one ``argmax`` over the whole sample would pick it.
+    """
     if not 0.0 < window_ghz < math.inf:
         raise InputError("window width must be finite and > 0")
-    counts = np.searchsorted(v, v + window_ghz, side="right")
-    counts -= np.arange(v.size)
-    best = int(np.argmax(counts))
-    return float(counts[best]) / v.size, float(v[best])
+    best, best_count = 0, 0  # every window holds its own start
+    for start in range(0, v.size, _WINDOW_BLOCK):
+        block = v[start:start + _WINDOW_BLOCK]
+        counts = np.searchsorted(v, block + window_ghz, side="right")
+        counts -= np.arange(start, start + block.size)
+        i = int(np.argmax(counts))
+        if counts[i] > best_count:
+            best, best_count = start + i, int(counts[i])
+    return best_count / v.size, float(v[best])
 
 
 def cdf_and_window(resonances, window_ghz: float) -> CdfResult:
@@ -454,7 +469,7 @@ def sample_inhomogeneous(n: int, cluster_sigma_ghz: float,
 # ---------------------------------------------------------------------------
 # Serialization: CSV with a JSON metadata sidecar.
 
-# rows formatted per ``%`` pass: bounds the cell values held at once
+# rows formatted per ``%`` pass and written at once: bounds the text held
 _CSV_BLOCK_ROWS = 4096
 # cells csv.writer's QUOTE_MINIMAL encloses in double quotes
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
@@ -496,9 +511,11 @@ def write_csv(path: Path, header_lines: list[str], columns: dict,
     """``# `` header lines, the column names, then one row per index of the
     1-D ``columns`` (name -> values), in csv's dialect.
 
-    The body is formatted in full, one row template per block of rows,
-    before the file and any missing parent directory are created, so a bad
-    column leaves neither behind.
+    Every column is checked before the file and any missing parent
+    directory are created, so a bad column leaves neither behind.  The body
+    is then formatted and written one block of rows at a time; if a block
+    fails, the partial file and the directories this call made are removed
+    before the error propagates.
     """
     cols = [_csv_column(name, values, name in blank_nan)
             for name, values in columns.items()]
@@ -512,16 +529,23 @@ def write_csv(path: Path, header_lines: list[str], columns: dict,
     header = ",".join(map(_csv_quote, columns)) or '""'
     row = ",".join(conv for conv, _ in cols) + "\r\n"
     n_rows = len(cols[0][1])
-    blocks = [f"# {line}\n" for line in header_lines] + [header + "\r\n"]
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-        cells = [None] * ((stop - start) * width)
-        for j, (_, values) in enumerate(cols):
-            cells[j::width] = values[start:stop].tolist()
-        blocks.append(row * (stop - start) % tuple(cells))
+    made = [d for d in path.parents if not d.exists()]  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.writelines(blocks)
+    fh = path.open("w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("".join(f"# {line}\n" for line in header_lines) + header + "\r\n")
+            for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+                stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+                cells = [None] * ((stop - start) * width)
+                for j, (_, values) in enumerate(cols):
+                    cells[j::width] = values[start:stop].tolist()
+                fh.write(row * (stop - start) % tuple(cells))
+    except BaseException:  # interrupts too: a refused run writes nothing
+        path.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
 
 
 def _json_finite(node):

@@ -6,6 +6,7 @@ summations, numeric integration and differentiation, Monte-Carlo moments.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.optimize import curve_fit
 from snvtune.control import (EmitterState, PIDState, calibrate_lockin, cr_check,
                              lockin_error, pid_update)
 from snvtune.emitters import TuningCurve
-from snvtune.errors import InputError
+from snvtune.errors import InputError, RangeError
 from snvtune.spectroscopy import effective_linewidth, fit_line, sample_scan
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -203,6 +204,47 @@ def pulsed_heat_peak(pulse, cooldown, tau, step=1.0) -> float:
         peak = t
         t = advance(t, 0.0, cooldown)
     raise RuntimeError("pulse train did not settle")
+
+
+def scalar_peak_heat(thermal, pulse_us: float, cooldown_us: float) -> float:
+    """One cell of ``actuator._peak_heat``, in Python floats: the scalar
+    form it had before it broadcast, kept as its bit-for-bit reference."""
+    tau = thermal.relax_time_us
+    cooled = -math.expm1(-cooldown_us / tau)
+    if cooled == 0.0:  # no cooldown, or one too short to cool at all
+        return tau
+    try:
+        heated = math.expm1(pulse_us / tau)
+    except OverflowError:  # a pulse that reaches the DC limit
+        return tau
+    return tau / (1.0 + cooled / heated) if heated > 0.0 else 0.0
+
+
+def scalar_pulsed_resonance_offset(thermal, pulse_us: float, cooldown_us: float,
+                                   v: float, v_ref: float = 75.0) -> float:
+    """One cell of ``pulsed_resonance_offset``, in Python floats (its scalar
+    form before it broadcast)."""
+    if not (0.0 < pulse_us < math.inf and 0.0 <= cooldown_us < math.inf):
+        raise InputError("pulse duration must be finite and > 0, cooldown finite and >= 0")
+    if not 0.0 <= v < math.inf:
+        raise InputError("voltage must be finite and >= 0")
+    try:
+        heat = scalar_peak_heat(thermal, pulse_us, cooldown_us) * (v / v_ref) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        heat = math.inf
+    safe = scalar_peak_heat(thermal, thermal.max_pulse_us, thermal.cooldown_time_us)
+    offset = -thermal.heat_shift_coeff * max(0.0, heat - safe) + 0.0
+    if not math.isfinite(offset):
+        raise RangeError(f"bias {v:g} V heats the device beyond the float range")
+    return offset
+
+
+def one_shot_best_window(v: np.ndarray, window_ghz: float) -> tuple[float, float]:
+    """Best-window fraction and start of a sorted sample from one
+    ``searchsorted`` over every start and one ``argmax`` (its first maximum)."""
+    counts = np.searchsorted(v, v + window_ghz, side="right") - np.arange(v.size)
+    best = int(np.argmax(counts))
+    return float(counts[best]) / v.size, float(v[best])
 
 
 def reference_stabilization(emitter, device, drift, lockin_cfg, pid_cfg, cr_cfg,

@@ -11,7 +11,8 @@ import snvtune as st
 from snvtune.actuator import DeviceGeometry, ThermalModel, hinge_point
 from snvtune.strain import DEFAULT_STRAIN_GUARD
 
-from oracles import pulsed_heat_peak, second_derivative
+from oracles import (pulsed_heat_peak, scalar_pulsed_resonance_offset,
+                     second_derivative)
 
 
 class TestBendingProfile:
@@ -175,6 +176,64 @@ class TestThermalModel:
         assert offset(short, less) <= offset(short, more)
         # no cooldown: every pulse is DC
         assert offset(short, 0.0) == offset(long, 0.0) == offset(1e9, 0.0)
+
+    @given(pulses=hyp.lists(PULSES, min_size=1, max_size=4),
+           cooldowns=hyp.lists(COOLDOWNS, min_size=1, max_size=4),
+           v=hyp.floats(0.0, 80.0) | hyp.sampled_from([1e155, 1e200]),
+           v_ref=hyp.sampled_from([75.0, 5e-324]),
+           tau=hyp.sampled_from([1000.0, 1e-300, 1e300]),
+           coeff=hyp.sampled_from([2e-3, 0.0, 1e308]))
+    # the edges of test_monotone_finite_with_dc_limit
+    @example(pulses=[5e-324, sys.float_info.max], cooldowns=[0.0, 5e-324], v=75.0,
+             v_ref=75.0, tau=1000.0, coeff=2e-3)
+    @example(pulses=[1e-300, 1e6], cooldowns=[0.0, 1e-300, sys.float_info.max],
+             v=80.0, v_ref=75.0, tau=1000.0, coeff=2e-3)
+    # (v/v_ref)**2 overflows: the whole heat is inf, also where the peak is 0
+    @example(pulses=[5e-324, 100.0], cooldowns=[1500.0], v=1e200, v_ref=75.0,
+             tau=1000.0, coeff=2e-3)
+    # v/v_ref is inf without an overflow: a zero peak heats 0 * inf = NaN, offset 0
+    @example(pulses=[5e-324], cooldowns=[1.0, 1500.0], v=80.0, v_ref=5e-324,
+             tau=1000.0, coeff=2e-3)
+    @settings(deadline=None)
+    def test_grid_matches_per_cell_oracle_bit_for_bit(self, device, pulses, cooldowns,
+                                                      v, v_ref, tau, coeff):
+        th = dataclasses.replace(device.thermal, relax_time_us=tau, heat_shift_coeff=coeff)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except st.RangeError:
+                return "range error"
+
+        want = [outcome(lambda: scalar_pulsed_resonance_offset(th, p, c, v, v_ref))
+                for p in pulses for c in cooldowns]
+        got = outcome(lambda: st.pulsed_resonance_offset(
+            th, np.array(pulses)[:, None], np.array(cooldowns), v, v_ref))
+        if "range error" in want:
+            assert got == "range error"
+        else:
+            assert got.shape == (len(pulses), len(cooldowns))
+            assert got.tobytes() == np.array(want).tobytes()
+        # scalar arguments give the oracle's float
+        one = outcome(lambda: st.pulsed_resonance_offset(th, pulses[0], cooldowns[0],
+                                                         v, v_ref))
+        if want[0] == "range error":
+            assert one == "range error"
+        else:
+            assert type(one) is float and one.hex() == want[0].hex()
+
+    @pytest.mark.parametrize("pulses, cooldowns", [
+        ([[100.0], [-1.0]], [0.0]),
+        ([[100.0], [200.0]], [0.0, math.nan]),
+        ([[100.0]], [0.0, math.inf]),
+    ], ids=["negative-pulse", "nan-cooldown", "inf-cooldown"])
+    def test_invalid_entry_refused_before_an_overflowing_cell(self, device, pulses,
+                                                              cooldowns):
+        # at 1e200 V the first cell overflows; the invalid entry after it is
+        # what the caller hears of
+        with pytest.raises(st.InputError):
+            st.pulsed_resonance_offset(device.thermal, np.array(pulses),
+                                       np.array(cooldowns), 1e200)
 
     def test_scales_with_voltage_squared(self, device):
         th = device.thermal

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,27 @@ class TestInhomo:
         src.write_text("frequency_GHz\n")
         assert run_cli("--out", tmp_path, "inhomo", "--input", src) == 2
 
+    def test_failed_csv_block_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                         fail_second_csv_block):
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "inhomo", "--n", "10") == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_traced_memory_per_resonance(self, tmp_path):
+        # the sample, its sorted copy and the CDF column are the n-sized
+        # float arrays alive at once; the slack covers the fixed-size block
+        # temporaries and the CSV text of one block
+        n = 50_000
+        run_cli("--out", tmp_path / "warm-up", "inhomo", "--n", "10")
+        tracemalloc.start()
+        try:
+            assert run_cli("--out", tmp_path / "out", "inhomo", "--n", str(n)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 512 * 1024
+
 
 class TestStabilize:
     def test_short_run_files_and_summary(self, tmp_path):
@@ -472,19 +494,31 @@ class TestCalibratePulse:
             assert float(row["offset_GHz"]) == pytest.approx(dc, rel=1e-9)
 
 
+    @staticmethod
+    def wide_bias_config(tmp_path) -> Path:
+        doc = json.loads(default_config_text())
+        doc["device"]["calibration"]["v_max"]["value"] = 1e300
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
     @pytest.mark.parametrize("bias", ["1e200", "1e155"])
     def test_offset_past_float_range_exits_3(self, tmp_path, capsys, bias):
         # the squared bias overflows (1e200 V) or the heat times the shift
         # coefficient does (1e155 V): a range error, not a traceback or a
         # -inf row
-        doc = json.loads(default_config_text())
-        doc["device"]["calibration"]["v_max"]["value"] = 1e300
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
-        assert run_cli("--out", out, "--config", path, "calibrate-pulse",
-                       "--bias", bias, "--pulses", "100") == 3
+        assert run_cli("--out", out, "--config", self.wide_bias_config(tmp_path),
+                       "calibrate-pulse", "--bias", bias, "--pulses", "100") == 3
         assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_pulse_after_an_overflowing_cell_exits_2(self, tmp_path, capsys):
+        # every pulse and cooldown is checked before any offset is computed
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", self.wide_bias_config(tmp_path),
+                       "calibrate-pulse", "--bias", "1e200", "--pulses", "100,-1") == 2
+        assert "pulse duration" in capsys.readouterr().err
         assert not out.exists()
 
 class TestMalformedArguments:

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from snvtune.spectroscopy import (best_window_fraction, count_rate,
                                   sample_scan, scan_to_csv, write_csv)
 
 from oracles import (central_difference_jacobian, fisher_center_sigma,
-                     fit_line_finite_difference, read_scan)
+                     fit_line_finite_difference, one_shot_best_window, read_scan)
 
 
 class TestEffectiveLinewidth:
@@ -518,11 +519,13 @@ class TestSolverMatchesNumpy:
     @settings(deadline=None, max_examples=300)
     @example(values=np.array([-0.0]))  # numpy's mean of -0.0 is 0.0
     @example(values=np.array([1.0, -0.0, -0.0, 2.0]))
+    @example(values=np.array([2.0 ** 1023, 2.0 ** 1023]))  # the sum overflows
     @given(values=hnp.arrays(np.float64, hyp.integers(1, 40),
                              elements=hyp.floats(allow_nan=False)))
     def test_median_equals_np_median(self, values):
         got = np.float64(spectroscopy._median(values))
-        want = np.median(values)
+        with np.errstate(over="ignore"):  # the oracle's sum warns, _median's floats do not
+            want = np.median(values)
         assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want))
 
 
@@ -575,6 +578,27 @@ class TestCdfAndWindow:
         brute = max(np.count_nonzero((values >= v) & (values <= v + 7.0))
                     for v in values) / values.size
         assert frac == brute
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @given(values=hyp.lists(hyp.integers(0, 12).map(float), min_size=1, max_size=30),
+           window=hyp.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]))
+    # equal counts in every block: the first start wins
+    @example(values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], window=1.0)
+    # the best window starts in the second block and ends in the third
+    @example(values=[0.0, 3.0, 6.0, 9.0, 9.0, 10.0, 10.0, 11.0, 12.0], window=2.0)
+    def test_blocks_match_one_shot_oracle(self, block, values, window):
+        want = one_shot_best_window(np.sort(values), window)
+        with mock.patch.object(spectroscopy, "_WINDOW_BLOCK", block):
+            got = best_window_fraction(values, window)
+            result = st.cdf_and_window(values, window)
+        assert got == want == (result.best_fraction, result.best_window_start)
+
+    def test_default_blocks_match_one_shot_oracle(self):
+        # a sample of several blocks, rounded so that counts tie
+        values = np.round(np.random.default_rng(3).normal(
+            0.0, 30.0, 3 * spectroscopy._WINDOW_BLOCK + 5))
+        assert best_window_fraction(values, 4.0) == \
+            one_shot_best_window(np.sort(values), 4.0)
 
     def test_generator_determinism(self, rng):
         a = sample_inhomogeneous(100, 15.0, 0.45, 300.0,
@@ -781,6 +805,23 @@ class TestWriteCsv:
         blank = ("value",) if blank_nan else ()
         assert self.written(tmp_path, columns, blank) == \
             csv_writer_reference(self.HEADER, columns, blank)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @settings(deadline=None, max_examples=40)
+    @given(table=csv_tables())
+    def test_block_edges_match_csv_writer(self, tmp_path_factory, block_rows, table):
+        columns, blank_nan = table
+        with mock.patch.object(spectroscopy, "_CSV_BLOCK_ROWS", block_rows):
+            got = self.written(tmp_path_factory.mktemp("csv"), columns, blank_nan)
+        assert got == csv_writer_reference(self.HEADER, columns, blank_nan)
+
+    def test_failed_block_leaves_no_file_or_directory(self, tmp_path,
+                                                      fail_second_csv_block):
+        (tmp_path / "kept").mkdir()
+        path = tmp_path / "kept" / "a" / "b" / "table.csv"
+        with pytest.raises(MemoryError):
+            write_csv(path, self.HEADER, {"x": np.arange(10.0)})
+        assert [p.name for p in tmp_path.rglob("*")] == ["kept"]
 
     def test_flags_print_as_zero_and_one(self, tmp_path):
         lines = self.written(tmp_path, {"flag": np.array([True, False, True])})
